@@ -1,11 +1,13 @@
 """Hot-path micro-benchmarks: flat-vector round-trip and full rounds.
 
 Times the memory-bound inner loops the :class:`repro.nn.ParameterArena`
-vectorizes, against the per-model fallback path (which is the pre-arena
-code path, preserved verbatim behind ``use_arena=False``):
+vectorizes, against the per-model loops they replaced (kept as test-side
+references in ``tests/reference/``; the ``fallback`` arms import them
+from there):
 
 * ``flat_roundtrip`` — ``get_flat_params`` + ``set_flat_params`` once
-  per worker (the per-exchange cost SAPS used to pay per matched pair);
+  per worker (the per-exchange cost SAPS used to pay per matched pair),
+  on arena-adopted workers vs standalone ``TrainingWorker`` models;
 * ``saps_round`` — one full SAPS-PSGD communication round (local SGD +
   masked pairwise exchange) at n workers;
 * ``psgd_round`` — one full all-reduce PSGD round at n workers;
@@ -36,9 +38,9 @@ code path, preserved verbatim behind ``use_arena=False``):
   CI gate requires ≥1.8× at 4 threads on ≥4-core boxes and only "no
   serial regression" on smaller ones;
 * ``fused_round`` — D-PSGD's fused in-place ring mix vs the historical
-  whole-matrix expression at n = 1024, with a bit-identity check — the
-  fused pass streams each row block through cache once instead of
-  materializing four ``(n, N)`` temporaries;
+  whole-matrix expression (``tests/reference/``) at n = 1024, with a
+  bit-identity check — the fused pass streams each row block through
+  cache once instead of materializing four ``(n, N)`` temporaries;
 * ``obs_overhead`` — the telemetry contract on the n = 1024 fused
   D-PSGD round: the disabled path (null recorder) costs ≤2% — computed
   analytically from the measured null-span cost times the spans one
@@ -107,10 +109,16 @@ from repro.sim import (
     ConstantCompute,
     EventQueue,
     ExperimentConfig,
+    TrainingWorker,
     make_workers,
     run_event_experiment,
 )
 from repro.sim.faults import FaultPlan
+from tests.reference import (
+    ReferencePSGD,
+    ReferenceSAPSPSGD,
+    whole_matrix_ring_mix,
+)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_hot_paths.json"
@@ -159,14 +167,22 @@ def _time(fn, repeats: int) -> float:
 
 
 def bench_flat_roundtrip(num_workers: int, repeats: int) -> dict:
-    """get+set flat params across all workers, arena vs fallback."""
+    """get+set flat params across all workers, arena vs standalone
+    per-model storage."""
     partitions = _workload(num_workers)
+    config = ExperimentConfig(rounds=1, batch_size=4, lr=0.1)
+    factory = _model_factory()
     results = {}
-    for label, use_arena in (("fallback", False), ("arena", True)):
-        config = ExperimentConfig(
-            rounds=1, batch_size=4, lr=0.1, use_arena=use_arena
-        )
-        workers = make_workers(_model_factory(), partitions, config)
+    for label in ("fallback", "arena"):
+        if label == "arena":
+            workers = make_workers(factory, partitions, config)
+        else:
+            # Never adopted: each model keeps per-layer arrays, so every
+            # flat access concatenates and re-splits N floats.
+            workers = [
+                TrainingWorker(rank, factory(), shard, batch_size=4, lr=0.1)
+                for rank, shard in enumerate(partitions)
+            ]
 
         def roundtrip():
             for worker in workers:
@@ -178,9 +194,9 @@ def bench_flat_roundtrip(num_workers: int, repeats: int) -> dict:
     return results
 
 
-def _bench_rounds(algorithm_factory, num_workers: int, rounds: int,
-                  repeats: int) -> dict:
-    """Seconds per communication round, arena vs fallback.
+def _bench_rounds(algorithm_factory, reference_factory, num_workers: int,
+                  rounds: int, repeats: int) -> dict:
+    """Seconds per communication round, arena vs the per-model reference.
 
     Each sample times a burst of ``rounds`` rounds (mean per round —
     single rounds are too short to time, and the fallback's per-round
@@ -189,14 +205,14 @@ def _bench_rounds(algorithm_factory, num_workers: int, rounds: int,
     """
     partitions = _workload(num_workers)
     results = {}
-    for label, use_arena in (("fallback", False), ("arena", True)):
+    for label, factory in (
+        ("fallback", reference_factory), ("arena", algorithm_factory)
+    ):
         # Small batches keep the (path-independent) local-SGD compute from
         # drowning the communication/mixing hot path under test.
-        config = ExperimentConfig(
-            rounds=rounds, batch_size=2, lr=0.05, seed=7, use_arena=use_arena
-        )
+        config = ExperimentConfig(rounds=rounds, batch_size=2, lr=0.05, seed=7)
         workers = make_workers(_model_factory(), partitions, config)
-        algorithm = algorithm_factory()
+        algorithm = factory()
         network = SimulatedNetwork(num_workers=num_workers)
         algorithm.setup(workers, network, rng=7)
         algorithm.run_round(0)  # warm-up
@@ -222,14 +238,15 @@ def _bench_rounds(algorithm_factory, num_workers: int, rounds: int,
 def bench_saps_round(num_workers: int, rounds: int, repeats: int) -> dict:
     # Fixed-ring pairing isolates the exchange hot path from the (shared,
     # identical-cost) blossom matching of the adaptive selector.
+    kwargs = dict(compression_ratio=20.0, selector="ring", base_seed=7)
     return _bench_rounds(
-        lambda: SAPSPSGD(compression_ratio=20.0, selector="ring", base_seed=7),
+        lambda: SAPSPSGD(**kwargs), lambda: ReferenceSAPSPSGD(**kwargs),
         num_workers, rounds, repeats,
     )
 
 
 def bench_psgd_round(num_workers: int, rounds: int, repeats: int) -> dict:
-    return _bench_rounds(lambda: PSGD(), num_workers, rounds, repeats)
+    return _bench_rounds(PSGD, ReferencePSGD, num_workers, rounds, repeats)
 
 
 def bench_dtype_round(num_workers: int, rounds: int, repeats: int) -> dict:
@@ -745,18 +762,18 @@ def bench_fused_round(num_workers: int, repeats: int) -> dict:
     algorithm.setup(workers, SimulatedNetwork(num_workers), rng=7)
     algorithm.cluster_trainer.compute_gradients()
 
+    def unfused():
+        whole_matrix_ring_mix(algorithm)
+
     snapshot = algorithm.arena.data.copy()
-    algorithm._mix_arena_unfused()
+    unfused()
     expected = algorithm.arena.data.copy()
     algorithm.arena.data[...] = snapshot
-    algorithm._mix_arena_fused()
+    algorithm._mix()
     bit_identical = bool(np.array_equal(expected, algorithm.arena.data))
 
     results = {"bit_identical": bit_identical}
-    for label, fn in (
-        ("unfused", algorithm._mix_arena_unfused),
-        ("fused", algorithm._mix_arena_fused),
-    ):
+    for label, fn in (("unfused", unfused), ("fused", algorithm._mix)):
         fn()  # warm-up
         gc.collect()
         gc.disable()

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro import obs
 from repro.network.transport import SimulatedNetwork
-from repro.nn.arena import ParameterArena, shared_arena
+from repro.nn.arena import ParameterArena
 from repro.utils.rng import SeedLike, as_generator
 
 if TYPE_CHECKING:  # avoid a runtime cycle with repro.sim
@@ -35,9 +35,10 @@ class DistributedAlgorithm:
         #: Workers that computed in the last round (None = all).  The
         #: engine's compute-time model reads this to bill stragglers.
         self.last_participants: Optional[List[int]] = None
-        #: The shared :class:`ParameterArena` when every worker's model
-        #: is a row of one arena (rank order); ``None`` selects the
-        #: per-model fallback paths.  Set by :meth:`setup`.
+        #: The shared :class:`ParameterArena`: worker ``p``'s model is
+        #: row ``p`` of the replica matrix every round operates on.  Set
+        #: by :meth:`setup`; the per-model reference loops that pin its
+        #: numerics live in ``tests/reference/``.
         self.arena: Optional[ParameterArena] = None
         #: Batched local-step engine (:class:`repro.sim.cluster.ClusterTrainer`)
         #: when the arena-backed workers admit an exactly-equivalent
@@ -59,6 +60,11 @@ class DistributedAlgorithm:
         All algorithms start from identical parameters (the paper's
         consensus analysis notes ``‖X_0 − X̄_0 1ᵀ‖² = 0`` when workers
         share the initial model), taken from worker 0.
+
+        Workers not yet bound to an arena are adopted into one here
+        (:func:`repro.sim.trainer.bind_arena`); workers bound to an
+        arena they are not rows ``0..n-1`` of, in rank order, are
+        rejected.
         """
         if len(workers) < 2:
             raise ValueError("distributed algorithms need at least 2 workers")
@@ -76,23 +82,18 @@ class DistributedAlgorithm:
                 f"all workers must share one architecture; got model "
                 f"sizes {sorted(sizes)}"
             )
-        self.arena = shared_arena([worker.model for worker in self.workers])
-        if self.arena is not None:
-            # One broadcast over the replica matrix replaces n-1
-            # concat/split round-trips.
-            self.arena.broadcast_row(0)
-            # Deferred import: repro.sim pulls in repro.algorithms at
-            # package-import time (via the comparison harness).
-            from repro.sim.cluster import ClusterTrainer
+        # Deferred imports: repro.sim pulls in repro.algorithms at
+        # package-import time (via the comparison harness).
+        from repro.sim.cluster import ClusterTrainer
+        from repro.sim.trainer import bind_arena
 
-            self.cluster_trainer = ClusterTrainer.build(
-                self.workers, arena=self.arena
-            )
-        else:
-            self.cluster_trainer = None
-            initial = self.workers[0].get_params()
-            for worker in self.workers[1:]:
-                worker.set_params(initial)
+        self.arena = bind_arena(self.workers)
+        # One broadcast over the replica matrix replaces n-1
+        # concat/split round-trips.
+        self.arena.broadcast_row(0)
+        self.cluster_trainer = ClusterTrainer.build(
+            self.workers, arena=self.arena
+        )
         self._after_setup()
 
     def _after_setup(self) -> None:
@@ -122,7 +123,7 @@ class DistributedAlgorithm:
 
         Batched through the :class:`ClusterTrainer` when available —
         bit-identical to the per-worker ``compute_gradient`` loop, which
-        remains the fallback.  Requires an arena."""
+        models the trainer declines (BatchNorm) still run."""
         if self.cluster_trainer is not None:
             return self.cluster_trainer.compute_gradients()
         with obs.phase("compute"):
@@ -146,61 +147,46 @@ class DistributedAlgorithm:
     def _apply_average_gradient(self, average: np.ndarray) -> None:
         """``xᵢ ← xᵢ − lrᵢ·ḡ`` on every worker (the all-reduce update).
 
-        Arena path: a fused row-blocked pass — each block scales the
-        average gradient into a persistent scratch and subtracts it in
-        place, so no ``(n, N)`` temporary is materialized and each block
-        of replicas streams through cache exactly once.  Blocks are
-        independent (disjoint rows) and run on the configured thread
-        pool.  Per element the operation sequence (multiply, then
-        subtract) is unchanged, so the result is bit-identical to the
-        historical whole-matrix expression.  Fallback: per-worker flat
-        round-trips.
+        A fused row-blocked pass: each block scales the average gradient
+        into a persistent scratch and subtracts it in place, so no
+        ``(n, N)`` temporary is materialized and each block of replicas
+        streams through cache exactly once.  Blocks are independent
+        (disjoint rows) and run on the configured thread pool.  Per
+        element the operation sequence (multiply, then subtract) is
+        unchanged, so the result is bit-identical to the historical
+        whole-matrix expression.
         """
-        if self.arena is not None:
-            from repro.utils import parallel
+        from repro.utils import parallel
 
-            # Learning rates in the arena dtype: float32 runs update
-            # without a float64 upcast temporary (no-op at float64).
-            rates = np.array(
-                [w.optimizer.lr for w in self.workers], dtype=self.arena.dtype
+        # Learning rates in the arena dtype: float32 runs update without
+        # a float64 upcast temporary (no-op at float64).
+        rates = np.array(
+            [w.optimizer.lr for w in self.workers], dtype=self.arena.dtype
+        )
+        data = self.arena.data
+
+        def update_block(bound) -> None:
+            start, stop = bound
+            # The (block, N) product is the only temporary — bounded by
+            # the block budget instead of the full (n, N) matrix.
+            data[start:stop] -= rates[start:stop, None] * average
+
+        with obs.phase("mix"):
+            parallel.parallel_map(
+                update_block,
+                parallel.block_ranges(self.num_workers, self._mix_block_rows()),
+                phase="mix.block",
             )
-            data = self.arena.data
-
-            def update_block(bound) -> None:
-                start, stop = bound
-                # The (block, N) product is the only temporary — bounded
-                # by the block budget instead of the full (n, N) matrix.
-                data[start:stop] -= rates[start:stop, None] * average
-
-            with obs.phase("mix"):
-                parallel.parallel_map(
-                    update_block,
-                    parallel.block_ranges(
-                        self.num_workers, self._mix_block_rows()
-                    ),
-                    phase="mix.block",
-                )
-            for worker in self.workers:
-                worker.steps_taken += 1
-        else:
-            with obs.phase("mix"):
-                for worker in self.workers:
-                    worker.apply_gradient(average)
+        for worker in self.workers:
+            worker.steps_taken += 1
 
     def consensus_model(self) -> np.ndarray:
         """The average model ``X̄ = X·1/n`` — what gets evaluated."""
-        if self.arena is not None:
-            return self.arena.mean_model()
-        stacked = np.stack([w.get_params() for w in self.workers])
-        return stacked.mean(axis=0)
+        return self.arena.mean_model()
 
     def consensus_distance(self) -> float:
         """``(1/n)Σᵢ‖xᵢ − x̄‖²`` — the quantity Theorem 1 bounds."""
-        if self.arena is not None:
-            return self.arena.consensus_distance()
-        stacked = np.stack([w.get_params() for w in self.workers])
-        mean = stacked.mean(axis=0)
-        return float(np.mean(np.sum((stacked - mean) ** 2, axis=1)))
+        return self.arena.consensus_distance()
 
     def min_link_bandwidth(self) -> Optional[float]:
         """Slowest pairwise link — the collective-operation bottleneck."""
@@ -209,3 +195,4 @@ class DistributedAlgorithm:
         matrix = self.network.bandwidth
         off_diag = matrix[~np.eye(matrix.shape[0], dtype=bool)]
         return float(off_diag.min())
+

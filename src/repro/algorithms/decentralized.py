@@ -28,21 +28,12 @@ class DPSGD(DistributedAlgorithm):
 
     name = "D-PSGD"
 
-    #: Selects the fused row-blocked arena mix (:meth:`_mix_arena_fused`).
-    #: ``False`` restores the historical whole-matrix expression, kept as
-    #: the equivalence oracle and the bench baseline — both produce
-    #: bit-identical replicas.
-    fused_mix = True
-
     def _after_setup(self) -> None:
-        # Mixing weights live in the workers' dtype so float32 runs mix
+        # Mixing weights live in the arena dtype so float32 runs mix
         # without upcast temporaries (no-op cast at float64).
-        dtype = (
-            self.arena.dtype
-            if self.arena is not None
-            else self.workers[0].model.dtype
+        self.gossip = ring_gossip_matrix(self.num_workers).astype(
+            self.arena.dtype, copy=False
         )
-        self.gossip = ring_gossip_matrix(self.num_workers).astype(dtype, copy=False)
         # Persistent (n, N) pair for the fused mix: the mixed-model
         # accumulator and the neighbour-gather scratch.  Allocated on
         # first use, reused every round.
@@ -70,37 +61,22 @@ class DPSGD(DistributedAlgorithm):
         rates = np.array([w.optimizer.lr for w in self.workers])
         return prev_ranks, next_ranks, self_w, prev_w, next_w, rates
 
-    def _mix_arena_unfused(self) -> None:
-        """The historical whole-matrix ring mix (oracle / bench baseline).
-
-        The accumulation order (self, left neighbour, right neighbour)
-        matches the per-worker loop, so results are bit-identical to the
-        fallback path — and :meth:`_mix_arena_fused` matches this method
-        bit-for-bit in turn.
-        """
-        replicas = self.arena.data
-        prev_ranks, next_ranks, self_w, prev_w, next_w, rates = (
-            self._ring_mix_terms()
-        )
-        mixed = self_w * replicas
-        mixed = mixed + prev_w * replicas[prev_ranks]
-        mixed = mixed + next_w * replicas[next_ranks]
-        replicas[...] = mixed - rates[:, None] * self.arena.grads
-
-    def _mix_arena_fused(self) -> None:
-        """Fused row-blocked ring mix: one cache-hot pass per block.
+    def _mix(self) -> None:
+        """``X ← WX − diag(lr)·G`` as a fused row-blocked ring mix: one
+        cache-hot pass per block.
 
         Each block accumulates its mixed rows into a persistent ``(n, N)``
         buffer with in-place ufuncs — the only transient left is the
         float64 learning-rate product when the arena is float32 (the
-        unfused expression upcasts there, and matching it bit-for-bit
-        requires the same promotion).  Blocks write disjoint buffer rows
-        while only *reading* the replica matrix, so they run on the
-        configured thread pool; the write-back happens after the barrier,
-        once no block still needs a neighbour's old row.  Per element the
-        kernel sequence and operand order equal the whole-matrix
-        expression, so the result is bit-identical at every dtype and
-        thread count.
+        whole-matrix expression upcasts there, and matching it
+        bit-for-bit requires the same promotion).  Blocks write disjoint
+        buffer rows while only *reading* the replica matrix, so they run
+        on the configured thread pool; the write-back happens after the
+        barrier, once no block still needs a neighbour's old row.  Per
+        element the kernel sequence and operand order equal the
+        whole-matrix expression, so the result is bit-identical at every
+        dtype and thread count (pinned against that expression and the
+        per-model loop in ``tests/reference/``).
         """
         from repro.utils import parallel
 
@@ -131,10 +107,10 @@ class DPSGD(DistributedAlgorithm):
                 np.multiply(rates[start:stop, None], grads[start:stop], out=t)
                 np.subtract(b, t, out=b)
             else:
-                # float32 arena: the unfused expression promotes through
-                # the float64 rates and rounds once on assignment —
-                # replicate that exactly (the float64 transient is one
-                # block, not the full matrix).
+                # float32 arena: the whole-matrix expression promotes
+                # through the float64 rates and rounds once on
+                # assignment — replicate that exactly (the float64
+                # transient is one block, not the full matrix).
                 b[...] = b - rates[start:stop, None] * grads[start:stop]
 
         parallel.parallel_map(
@@ -147,44 +123,13 @@ class DPSGD(DistributedAlgorithm):
         replicas[...] = buf
 
     def run_round(self, round_index: int) -> float:
-        if self.arena is not None:
-            losses = self._local_gradients_into_arena()
-            with obs.phase("comm"):
-                self._account_ring_traffic(round_index)
-            with obs.phase("mix"):
-                if self.fused_mix:
-                    self._mix_arena_fused()
-                else:
-                    self._mix_arena_unfused()
-            for worker in self.workers:
-                worker.steps_taken += 1
-        else:
-            losses = []
-            gradients = []
-            # Snapshots: a worker adopted into an arena the setup did not
-            # detect (subset/reordered workers) would otherwise hand out
-            # live row views that later set_params calls mutate mid-loop.
-            params = [worker.snapshot_params() for worker in self.workers]
-            with obs.phase("compute"):
-                for worker in self.workers:
-                    loss, gradient = worker.compute_gradient()
-                    losses.append(loss)
-                    gradients.append(gradient)
-            with obs.phase("comm"):
-                self._account_ring_traffic(round_index)
-
-            with obs.phase("mix"):
-                for rank, worker in enumerate(self.workers):
-                    neighbors = self._ring_neighbors(rank)
-                    mixed = self.gossip[rank, rank] * params[rank]
-                    for neighbor in neighbors:
-                        mixed = (
-                            mixed
-                            + self.gossip[rank, neighbor] * params[neighbor]
-                        )
-                    lr = worker.optimizer.lr
-                    worker.set_params(mixed - lr * gradients[rank])
-                    worker.steps_taken += 1
+        losses = self._local_gradients_into_arena()
+        with obs.phase("comm"):
+            self._account_ring_traffic(round_index)
+        with obs.phase("mix"):
+            self._mix()
+        for worker in self.workers:
+            worker.steps_taken += 1
         self.network.finish_round()
         return float(np.mean(losses))
 

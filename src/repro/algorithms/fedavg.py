@@ -158,12 +158,8 @@ class FedAvg(DistributedAlgorithm):
                     worker.set_params(self.global_model)
                     for _ in range(self.local_steps):
                         losses.append(worker.local_step())
-        if self.arena is not None:
-            # Server-side average straight off the replica matrix rows.
-            self.global_model = self.arena.data[selected].mean(axis=0)
-        else:
-            uploads = [self.workers[rank].get_params() for rank in selected]
-            self.global_model = np.mean(uploads, axis=0)
+        # Server-side average straight off the replica matrix rows.
+        self.global_model = self.arena.data[selected].mean(axis=0)
         self._account(
             round_index, selected, self.model_size * BYTES_PER_VALUE
         )

@@ -7,7 +7,7 @@ compared across configurations/machines without rerunning the simulator.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Dict, Union
 
@@ -34,9 +34,14 @@ def result_from_dict(payload: dict) -> ExperimentResult:
             f"unsupported result format version {version!r} "
             f"(expected {FORMAT_VERSION})"
         )
+    # Options that earlier versions saved but that no longer exist (such
+    # as the retired arena on/off switch) are dropped.
+    known = {option.name for option in fields(ExperimentConfig)}
+    config = {
+        key: value for key, value in payload["config"].items() if key in known
+    }
     result = ExperimentResult(
-        algorithm=payload["algorithm"],
-        config=ExperimentConfig(**payload["config"]),
+        algorithm=payload["algorithm"], config=ExperimentConfig(**config)
     )
     result.history = [RoundRecord(**record) for record in payload["history"]]
     return result

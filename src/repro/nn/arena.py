@@ -17,7 +17,8 @@ default, float32 via the ``dtype`` argument), and each layer's
   is one memcpy;
 * gossip mixing, consensus reductions and all-reduce averaging become
   single vectorized matrix operations over ``arena.data`` /
-  ``arena.grads`` (see the arena fast paths in ``repro.algorithms``);
+  ``arena.grads`` — every algorithm in ``repro.algorithms`` runs its
+  rounds on the arena, adopting unbound workers at setup;
 * the replica matrix is also the natural input to the **matrix-level
   compression API** (:meth:`repro.compression.Compressor.compress_matrix`):
   per-round mask/top-k selection runs once over ``arena.data`` or
@@ -29,8 +30,8 @@ At float64 numerics are bit-identical to the per-model layout: the same
 values flow through the same elementwise operations, only the storage
 layout and copy count change.  A float32 arena halves replica memory and
 memory traffic (matching the fp32 tensors the measured systems exchange)
-at the cost of reduced precision.  Every consumer keeps a fallback path
-for models that were never adopted into an arena.
+at the cost of reduced precision.  The per-model loops the matrix
+operations replace live on as equivalence oracles in ``tests/reference/``.
 """
 
 from __future__ import annotations
@@ -168,9 +169,9 @@ class ParameterArena:
 def shared_arena(models: Sequence[Module]) -> Optional[ParameterArena]:
     """The arena backing all of ``models`` at ranks ``0..n-1``, or ``None``.
 
-    Algorithms call this to decide between the vectorized fast path and
-    the per-model fallback: the fast path is only sound when every worker
-    is a distinct row of one arena, in rank order.
+    The vectorized rounds are only sound when every worker is a distinct
+    row of one arena, in rank order; algorithm setup rejects any other
+    layout (:func:`repro.sim.trainer.bind_arena`).
     """
     if not models:
         return None

@@ -19,7 +19,7 @@ from repro.data.datasets import Dataset
 from repro.network.transport import SimulatedNetwork
 from repro.nn.arena import ParameterArena
 from repro.nn.module import Module
-from repro.sim.trainer import TrainingWorker
+from repro.sim.trainer import TrainingWorker, adopt_workers
 from repro.utils.dtypes import resolve_dtype
 from repro.utils.rng import SeedLike, as_generator, spawn_generators
 
@@ -45,12 +45,6 @@ class ExperimentConfig:
     seed: int = 0
     lr_milestones: Optional[List[int]] = None
     lr_gamma: float = 0.1
-    #: Back all worker replicas with one contiguous
-    #: :class:`repro.nn.ParameterArena` so flat-vector access is
-    #: zero-copy and rounds vectorize over the replica matrix.  Numerics
-    #: are bit-identical either way; disable only to exercise the
-    #: per-model fallback path.
-    use_arena: bool = True
     #: Numeric dtype of the training substrate: ``"float64"`` (default,
     #: bit-identical to the historical trajectories) or ``"float32"``
     #: (halves replica memory/traffic, matches the fp32 tensors the
@@ -236,15 +230,15 @@ def make_workers(
     experiment seed; model initializations are later overwritten by the
     algorithm's setup (all workers start from worker 0's weights).
 
-    Unless ``config.use_arena`` is False, all replicas are adopted into
-    one :class:`repro.nn.ParameterArena` (rows in rank order) so the
-    algorithms take their vectorized fast paths.
+    All replicas are adopted into one :class:`repro.nn.ParameterArena`
+    (rows in rank order; :func:`repro.sim.trainer.adopt_workers`) — the
+    replica matrix every algorithm runs on.
 
     ``config.dtype`` flows through here: shards are cast once so batches
     arrive in the training dtype, and the arena is allocated in it
     (adoption re-homogenizes model parameters, so even a factory that
-    ignores ``dtype`` lands on the configured precision when the arena
-    is on).  The float64 default makes every cast a no-op.
+    ignores ``dtype`` lands on the configured precision).  The float64
+    default makes every cast a no-op.
     """
     dtype = resolve_dtype(config.dtype)
     streams = spawn_generators(config.seed, len(partitions))
@@ -262,24 +256,16 @@ def make_workers(
                 rng=stream,
             )
         )
-    if config.use_arena:
-        if config.arena == "sharded":
-            # Full-capacity ShardedArena: dense-mode storage and
-            # behaviour are the parent class verbatim, so trajectories
-            # stay bit-identical (the sharding machinery only engages
-            # below capacity — million-scale sampled runs).
-            from repro.nn.sharded import ShardedArena
+    arena_cls = ParameterArena
+    if config.arena == "sharded":
+        # Full-capacity ShardedArena: dense-mode storage and behaviour
+        # are the parent class verbatim, so trajectories stay
+        # bit-identical (the sharding machinery only engages below
+        # capacity — million-scale sampled runs).
+        from repro.nn.sharded import ShardedArena
 
-            arena_cls = ShardedArena
-        else:
-            arena_cls = ParameterArena
-        arena_cls.adopt_models(
-            [worker.model for worker in workers], dtype=dtype
-        )
-        for worker in workers:
-            worker.optimizer.attach_flat_storage(
-                worker.model._flat_view, worker.model._flat_grad_view
-            )
+        arena_cls = ShardedArena
+    adopt_workers(workers, dtype=dtype, arena_cls=arena_cls)
     return workers
 
 
@@ -290,9 +276,10 @@ def evaluate_consensus(
 
     With a batched :class:`~repro.sim.cluster.ClusterTrainer` attached,
     the averaged row is forwarded directly through the batched kernels'
-    eval path — no snapshot/restore dance on a borrowed replica.  The
-    fallback borrows and restores worker 0 as before; both paths produce
-    identical numbers (same weights through the same GEMMs)."""
+    eval path — no snapshot/restore dance on a borrowed replica.  Models
+    the trainer declines (BatchNorm) borrow and restore worker 0; both
+    paths produce identical numbers (same weights through the same
+    GEMMs)."""
     vector = algorithm.consensus_model()
     trainer = getattr(algorithm, "cluster_trainer", None)
     if trainer is not None:

@@ -23,10 +23,12 @@ import numpy as np
 
 from repro.data.datasets import Dataset
 from repro.data.loader import DataLoader
+from repro.nn.arena import ParameterArena, shared_arena
 from repro.nn.losses import CrossEntropyLoss, accuracy
 from repro.nn.module import Module
 from repro.nn.optim import SGD
 from repro.utils import parallel
+from repro.utils.dtypes import DTypeLike
 from repro.utils.rng import SeedLike, as_generator
 
 
@@ -212,3 +214,57 @@ class TrainingWorker:
         )
         self.model.train()
         return result
+
+
+def adopt_workers(
+    workers, dtype: DTypeLike = None, arena_cls=ParameterArena
+) -> ParameterArena:
+    """Adopt every worker's model into one arena, rows in rank order.
+
+    Each optimizer is then pointed at its worker's row, so plain SGD
+    steps run as one vectorized update over the flat model.  ``dtype``
+    defaults to the models' own; ``arena_cls`` picks the arena
+    implementation (dense or :class:`repro.nn.ShardedArena`).
+    """
+    arena = arena_cls.adopt_models(
+        [worker.model for worker in workers], dtype=dtype
+    )
+    for worker in workers:
+        worker.optimizer.attach_flat_storage(
+            worker.model._flat_view, worker.model._flat_grad_view
+        )
+    return arena
+
+
+def bind_arena(workers) -> ParameterArena:
+    """The arena whose rows ``0..n-1`` are ``workers``' models.
+
+    Workers none of which is bound yet are adopted into a fresh arena
+    (:func:`adopt_workers` — the routine :func:`repro.sim.make_workers`
+    uses).  Any other layout — a mix of bound and unbound workers, rows
+    out of rank order, an arena of another size — raises a
+    ``ValueError`` naming the offending ranks.
+    """
+    models = [worker.model for worker in workers]
+    bound = [model._arena for model in models if model._arena is not None]
+    if not bound:
+        return adopt_workers(workers)
+    arena = shared_arena(models)
+    if arena is not None:
+        return arena
+    owner = bound[0]
+    offending = [
+        rank
+        for rank, model in enumerate(models)
+        if model._arena is not owner or model._arena_rank != rank
+    ]
+    n = len(models)
+    detail = (
+        f"ranks {offending} are not"
+        if offending
+        else f"their arena has {owner.num_workers} rows"
+    )
+    raise ValueError(
+        f"the {n} workers must be unadopted or rows 0..{n - 1} of one "
+        f"arena, in rank order; {detail}"
+    )

@@ -1,7 +1,10 @@
 """Arena invariants: view aliasing, optimizer state under views, and
-bit-identical trajectories between the arena and per-model fallback paths."""
+bit-identical trajectories between the arena rounds and the per-model
+reference loops in ``tests/reference/``."""
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +17,10 @@ from repro.network import random_uniform_bandwidth
 from repro.network.transport import SimulatedNetwork
 from repro.nn import MLP, SGD, ParameterArena, shared_arena
 from repro.sim import ExperimentConfig, evaluate_consensus, make_workers, run_experiment
+from repro.sim.trainer import TrainingWorker
 from repro.utils.flat import flatten_arrays, param_specs, unflatten_vector
+
+from reference import per_model
 
 
 def make_model(seed=0):
@@ -237,7 +243,7 @@ class TestFlatCopySemantics:
 
 
 # ----------------------------------------------------------------------
-# trajectory equivalence: arena fast paths vs per-model fallback
+# trajectory equivalence: arena rounds vs per-model reference loops
 # ----------------------------------------------------------------------
 def _workload(num_workers, seed=5):
     full = make_blobs(
@@ -250,19 +256,21 @@ def _workload(num_workers, seed=5):
     return partition_iid(train, num_workers, rng=seed), validation
 
 
-def _run(algorithm_factory, num_workers, use_arena, rounds=15, momentum=0.9):
+def _run(algorithm_factory, num_workers, reference, rounds=15, momentum=0.9):
     partitions, validation = _workload(num_workers)
     config = ExperimentConfig(
         rounds=rounds, batch_size=8, lr=0.1, momentum=momentum,
-        eval_every=5, seed=3, use_arena=use_arena,
+        eval_every=5, seed=3,
     )
+    algorithm = algorithm_factory()
+    if reference:
+        algorithm = per_model(algorithm)
     network = SimulatedNetwork(
         num_workers, bandwidth=random_uniform_bandwidth(num_workers, rng=0)
     )
     factory = lambda: MLP(12, [10], 4, rng=11)
     return run_experiment(
-        algorithm_factory(), partitions, validation, factory, config,
-        network=network,
+        algorithm, partitions, validation, factory, config, network=network
     )
 
 
@@ -292,8 +300,8 @@ def assert_identical_histories(result_a, result_b):
     ids=["saps-adaptive", "saps-ring", "psgd"],
 )
 def test_trajectories_bit_identical_arena_vs_fallback(algorithm_factory):
-    arena_result = _run(algorithm_factory, num_workers=4, use_arena=True)
-    fallback_result = _run(algorithm_factory, num_workers=4, use_arena=False)
+    arena_result = _run(algorithm_factory, num_workers=4, reference=False)
+    fallback_result = _run(algorithm_factory, num_workers=4, reference=True)
     assert_identical_histories(arena_result, fallback_result)
 
 
@@ -310,10 +318,10 @@ def test_trajectories_bit_identical_arena_vs_fallback(algorithm_factory):
 )
 def test_trajectories_bit_identical_at_scale(algorithm_factory):
     arena_result = _run(
-        algorithm_factory, num_workers=16, use_arena=True, rounds=30
+        algorithm_factory, num_workers=16, reference=False, rounds=30
     )
     fallback_result = _run(
-        algorithm_factory, num_workers=16, use_arena=False, rounds=30
+        algorithm_factory, num_workers=16, reference=True, rounds=30
     )
     assert_identical_histories(arena_result, fallback_result)
 
@@ -326,11 +334,41 @@ def test_make_workers_adopts_shared_arena():
     assert arena is not None
     assert arena.num_workers == 4
 
-    config_off = ExperimentConfig(rounds=1, batch_size=8, use_arena=False)
-    workers_off = make_workers(
-        lambda: MLP(12, [10], 4, rng=1), partitions, config_off
-    )
-    assert shared_arena([w.model for w in workers_off]) is None
+
+def _unadopted_workers(partitions, seed=3):
+    return [
+        TrainingWorker(
+            rank, MLP(12, [10], 4, rng=1), shard, batch_size=8, lr=0.1,
+            momentum=0.9, rng=seed + rank,
+        )
+        for rank, shard in enumerate(partitions)
+    ]
+
+
+def test_setup_adopts_unbound_workers():
+    """Workers built outside make_workers join one arena at setup and
+    train exactly like workers adopted up front."""
+    partitions, _ = _workload(4)
+    trajectories = []
+    for adopt_first in (False, True):
+        workers = _unadopted_workers(partitions)
+        if adopt_first:
+            ParameterArena.adopt_models([w.model for w in workers])
+            for worker in workers:
+                worker.optimizer.attach_flat_storage(
+                    worker.model._flat_view, worker.model._flat_grad_view
+                )
+        algorithm = PSGD()
+        algorithm.setup(workers, SimulatedNetwork(4), rng=3)
+        assert shared_arena([w.model for w in workers]) is algorithm.arena
+        assert algorithm.cluster_trainer is not None
+        assert all(w.optimizer._flat_params is not None for w in workers)
+        trajectories.append(
+            [algorithm.run_round(r) for r in range(3)]
+            + [algorithm.consensus_model()]
+        )
+    assert trajectories[0][:3] == trajectories[1][:3]
+    np.testing.assert_array_equal(trajectories[0][3], trajectories[1][3])
 
 
 def test_snapshot_params_is_independent_copy():
@@ -344,30 +382,35 @@ def test_snapshot_params_is_independent_copy():
     assert np.any(snapshot != 0.0)
 
 
-def test_dpsgd_fallback_safe_for_undetected_arena_views():
-    # Workers adopted into an arena that setup does NOT detect (models
-    # bound out of rank order) must still see round-start snapshots in
-    # the fallback mixing loop, not live rows.
-    partitions, validation = _workload(4)
-    config = ExperimentConfig(rounds=3, batch_size=8, seed=3, use_arena=False)
-
-    def run(adopt_out_of_order):
-        workers = make_workers(
-            lambda: MLP(12, [10], 4, rng=1), partitions, config
-        )
-        if adopt_out_of_order:
-            arena = ParameterArena(4, workers[0].model_size)
-            for row, worker in zip((3, 2, 1, 0), workers):
-                arena.adopt(row, worker.model)
-            assert shared_arena([w.model for w in workers]) is None
-        algorithm = DPSGD()
-        algorithm.setup(workers, SimulatedNetwork(4), rng=3)
-        assert algorithm.arena is None
-        for round_index in range(3):
-            algorithm.run_round(round_index)
-        return algorithm.consensus_model()
-
-    np.testing.assert_array_equal(run(False), run(True))
+@pytest.mark.parametrize(
+    "layout,ranks",
+    [
+        ("reversed", "ranks [0, 1, 2, 3]"),
+        ("mixed", "ranks [2, 3]"),
+        ("subset", "arena has 5 rows"),
+    ],
+    ids=["reversed", "mixed", "subset"],
+)
+def test_setup_rejects_unusable_worker_arenas(layout, ranks):
+    # Setup never falls back to per-model rounds: workers bound to an
+    # arena out of rank order, a mix of bound and unbound workers, or
+    # workers that are only part of a larger arena are all rejected
+    # with an error that names what is wrong.
+    partitions, _ = _workload(4)
+    workers = _unadopted_workers(partitions)
+    size = workers[0].model_size
+    if layout == "reversed":
+        arena = ParameterArena(4, size)
+        for row, worker in zip((3, 2, 1, 0), workers):
+            arena.adopt(row, worker.model)
+    elif layout == "mixed":
+        ParameterArena.adopt_models([w.model for w in workers[:2]])
+    else:
+        arena = ParameterArena(5, size)
+        for row, worker in enumerate(workers):
+            arena.adopt(row, worker.model)
+    with pytest.raises(ValueError, match=re.escape(ranks)):
+        DPSGD().setup(workers, SimulatedNetwork(4), rng=3)
 
 
 def test_evaluate_consensus_restores_probe_under_arena():

@@ -31,6 +31,8 @@ from repro.sim import (
 )
 from repro.sim.engine import RoundRecord
 
+from reference import per_model
+
 
 NUM_FEATURES = 12
 NUM_CLASSES = 4
@@ -132,10 +134,12 @@ class TestBuild:
 
     def test_none_without_arena(self):
         partitions, _ = _workload(3)
-        config = ExperimentConfig(rounds=1, batch_size=8, use_arena=False)
-        workers = make_workers(
-            lambda: MODEL_FACTORIES["mlp"](), partitions, config
-        )
+        workers = [
+            TrainingWorker(
+                rank, MODEL_FACTORIES["mlp"](), shard, batch_size=8, lr=0.1
+            )
+            for rank, shard in enumerate(partitions)
+        ]
         assert ClusterTrainer.build(workers) is None
 
     def test_builds_for_conv_models(self):
@@ -431,24 +435,28 @@ class TestConvEquivalence:
         assert trainer.evaluate_vector(vector, validation) == expected
 
     def test_conv_end_to_end_saps_bit_identical(self):
-        """A full SAPS-PSGD run on TinyCNN: batched arena vs loop."""
+        """A full SAPS-PSGD run on TinyCNN: batched arena vs the
+        per-model reference loop."""
         partitions, validation = _conv_workload(4)
         factory = lambda: TinyCNN(
             in_channels=CONV_CHANNELS, image_size=CONV_SIZE,
             num_classes=NUM_CLASSES, width=4, rng=11,
         )
         histories = {}
-        for use_arena in (True, False):
+        for batched in (True, False):
             config = ExperimentConfig(
                 rounds=6, batch_size=8, lr=0.1, momentum=0.9,
-                eval_every=3, seed=3, use_arena=use_arena,
+                eval_every=3, seed=3,
+            )
+            algorithm = SAPSPSGD(
+                compression_ratio=8.0, base_seed=3, local_steps=2
             )
             result = run_experiment(
-                SAPSPSGD(compression_ratio=8.0, base_seed=3, local_steps=2),
+                algorithm if batched else per_model(algorithm),
                 partitions, validation, factory, config,
                 network=SimulatedNetwork(4),
             )
-            histories[use_arena] = result.history
+            histories[batched] = result.history
         assert len(histories[True]) == len(histories[False])
         for field in TRACKED_FIELDS:
             batched_series = np.array(
@@ -538,7 +546,7 @@ class TestEvaluateVector:
 
 
 # ----------------------------------------------------------------------
-# end-to-end: every algorithm family, batched arena vs loop fallback
+# end-to-end: every algorithm family, batched arena vs per-model reference
 # ----------------------------------------------------------------------
 TRACKED_FIELDS = (
     "train_loss", "val_loss", "val_accuracy", "consensus_distance",
@@ -546,41 +554,56 @@ TRACKED_FIELDS = (
 )
 
 
-def _run_end_to_end(algorithm_factory, use_arena, momentum=0.9, rounds=10):
+def _run_end_to_end(
+    algorithm_factory, reference, dtype="float64", momentum=0.9, rounds=10
+):
     partitions, validation = _workload(4)
     config = ExperimentConfig(
         rounds=rounds, batch_size=8, lr=0.1, momentum=momentum,
-        eval_every=5, seed=3, use_arena=use_arena,
+        eval_every=5, seed=3, dtype=dtype,
     )
     network = SimulatedNetwork(
         4, bandwidth=random_uniform_bandwidth(4, rng=0),
         server_bandwidth=2.0,
     )
-    factory = lambda: MODEL_FACTORIES["mlp"]()
+    factory = lambda: MODEL_FACTORIES["mlp"](dtype)
+    algorithm = algorithm_factory()
     return run_experiment(
-        algorithm_factory(), partitions, validation, factory, config,
-        network=network,
+        per_model(algorithm) if reference else algorithm,
+        partitions, validation, factory, config, network=network,
     )
 
 
+FAMILIES = {
+    "saps": lambda: SAPSPSGD(
+        compression_ratio=8.0, base_seed=3, local_steps=2
+    ),
+    "psgd": lambda: PSGD(),
+    "topk": lambda: TopKPSGD(compression_ratio=20.0),
+    "dpsgd": lambda: DPSGD(),
+    "dcd": lambda: DCDPSGD(compression_ratio=4.0),
+    "fedavg": lambda: FedAvg(participation=0.5, local_steps=3),
+    "s-fedavg": lambda: SparseFedAvg(
+        participation=0.5, local_steps=3, compression_ratio=20.0
+    ),
+}
+
+
 @pytest.mark.parametrize(
-    "algorithm_factory",
+    "algorithm_factory,dtype",
     [
-        lambda: SAPSPSGD(compression_ratio=8.0, base_seed=3, local_steps=2),
-        lambda: PSGD(),
-        lambda: TopKPSGD(compression_ratio=20.0),
-        lambda: DPSGD(),
-        lambda: DCDPSGD(compression_ratio=4.0),
-        lambda: FedAvg(participation=0.5, local_steps=3),
-        lambda: SparseFedAvg(
-            participation=0.5, local_steps=3, compression_ratio=20.0
-        ),
+        # float64 keeps the bare family id the suite has always used.
+        pytest.param(
+            factory, dtype,
+            id=name if dtype == "float64" else f"{name}-{dtype}",
+        )
+        for dtype in ("float64", "float32")
+        for name, factory in FAMILIES.items()
     ],
-    ids=["saps", "psgd", "topk", "dpsgd", "dcd", "fedavg", "s-fedavg"],
 )
-def test_all_families_bit_identical_to_loop(algorithm_factory):
-    batched = _run_end_to_end(algorithm_factory, use_arena=True)
-    loop = _run_end_to_end(algorithm_factory, use_arena=False)
+def test_all_families_bit_identical_to_loop(algorithm_factory, dtype):
+    batched = _run_end_to_end(algorithm_factory, reference=False, dtype=dtype)
+    loop = _run_end_to_end(algorithm_factory, reference=True, dtype=dtype)
     assert len(batched.history) == len(loop.history)
     for field in TRACKED_FIELDS:
         batched_series = np.array([getattr(r, field) for r in batched.history])

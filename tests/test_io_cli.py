@@ -63,6 +63,12 @@ class TestResultIO:
         with pytest.raises(ValueError, match="version"):
             result_from_dict(payload)
 
+    def test_loads_results_saved_with_retired_options(self):
+        payload = result_to_dict(make_result())
+        payload["config"]["use_arena"] = True
+        back = result_from_dict(payload)
+        assert back.config == make_result().config
+
     def test_json_is_plain(self, tmp_path):
         path = save_result(make_result(), tmp_path / "run.json")
         payload = json.loads(path.read_text())

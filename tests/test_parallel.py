@@ -6,8 +6,8 @@ numerics** — any ``REPRO_NUM_THREADS`` produces results bit-identical to
 the serial run, because block partitions are fixed and order-sensitive
 float folds stay on the caller's thread.  These tests pin that promise
 for every algorithm, both dtypes, momentum/weight-decay and churn; plus
-the fused-pass toggles (D-PSGD mix, SAPS gather) against their unfused
-oracles.
+the fused passes (D-PSGD mix, SAPS gather) against their reference
+oracles in ``tests/reference/``.
 """
 
 import numpy as np
@@ -29,6 +29,8 @@ from repro.nn import MLP
 from repro.sim import ExperimentConfig, make_workers
 from repro.sim.dynamics import MarkovChurn
 from repro.utils import parallel
+
+from reference import WholeMatrixDPSGD, per_model
 
 
 @pytest.fixture(autouse=True)
@@ -127,9 +129,10 @@ def run_rounds(
     momentum=0.0,
     weight_decay=0.0,
     churn=None,
-    algo_tweak=None,
+    algorithm=None,
 ):
-    """Final replica matrix + per-round losses for one short run."""
+    """Final replica matrix + per-round losses for one short run
+    (``algorithm`` overrides the ``name`` family's default instance)."""
     full = make_blobs(
         num_samples=30 * n, num_classes=3, num_features=6, rng=11
     )
@@ -144,11 +147,9 @@ def run_rounds(
         dtype=dtype,
     )
     workers = make_workers(lambda: MLP(6, [10], 3, rng=2), partitions, config)
-    algo = ALGORITHMS[name]() if callable(ALGORITHMS[name]) else ALGORITHMS[name]
+    algo = ALGORITHMS[name]() if algorithm is None else algorithm
     if churn is not None and isinstance(algo, SAPSPSGD):
         algo.churn = churn
-    if algo_tweak is not None:
-        algo_tweak(algo)
     network = SimulatedNetwork(n, bandwidth=random_uniform_bandwidth(n, rng=4))
     algo.setup(workers, network, rng=9)
     parallel.set_num_threads(threads)
@@ -208,15 +209,12 @@ def test_churn_subset_thread_determinism():
 
 
 # ----------------------------------------------------------------------
-# fused passes vs their unfused oracles
+# fused passes vs their reference oracles
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 def test_dpsgd_fused_mix_matches_unfused(dtype):
-    def unfuse(algo):
-        algo.fused_mix = False
-
     ref_params, ref_losses = run_rounds(
-        "d-psgd", threads=1, dtype=dtype, algo_tweak=unfuse
+        "d-psgd", threads=1, dtype=dtype, algorithm=WholeMatrixDPSGD()
     )
     for threads in (1, 4):
         params, losses = run_rounds("d-psgd", threads=threads, dtype=dtype)
@@ -226,11 +224,11 @@ def test_dpsgd_fused_mix_matches_unfused(dtype):
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 def test_saps_fused_gather_matches_unfused(dtype):
-    def unfuse(algo):
-        algo.fused_gather = False
-
+    # The per-model reference updates every worker, then gathers each
+    # matched pair's masked values from the updated rows.
     ref_params, ref_losses = run_rounds(
-        "saps-psgd", threads=1, dtype=dtype, algo_tweak=unfuse
+        "saps-psgd", threads=1, dtype=dtype,
+        algorithm=per_model(ALGORITHMS["saps-psgd"]()),
     )
     for threads in (1, 4):
         params, losses = run_rounds("saps-psgd", threads=threads, dtype=dtype)
