@@ -15,7 +15,9 @@
 #   * --engine event for saps-psgd, d-psgd and fedavg (the three
 #     asynchronous families);
 #   * one event run under --fault-plan mttf=20,mttr=5;
-#   * one event run on --arena sharded.
+#   * one event run on --arena sharded;
+#   * one event fedavg run with K-seat sampled participation over a
+#     renewal population (the worker-backed seat pool).
 #
 # Exits 1 if any run differs or fails on either side.
 set -euo pipefail
@@ -49,6 +51,7 @@ for algorithm in saps-psgd d-psgd fedavg; do
 done
 runs+=("event-saps-psgd-faults|--algorithm saps-psgd $EVENT --fault-plan mttf=20,mttr=5")
 runs+=("event-d-psgd-sharded|--algorithm d-psgd $EVENT --arena sharded")
+runs+=("event-fedavg-sampled|--algorithm fedavg $EVENT --participation sampled --sample-size 4 --population-model renewal:up=6,down=3")
 
 # run SIDE TREE NAME ARGS...: one CLI run from its own directory, so the
 # relative --output path (and the line that echoes it) is the same on

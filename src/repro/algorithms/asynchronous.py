@@ -16,11 +16,15 @@ all reusing the arena / batched-kernel numeric substrate:
 * :class:`AsyncFedAvg` — FedAsync-style server (Xie et al., 2019):
   workers download/compute/upload on their own clocks and the server
   mixes each upload with a **staleness-attenuated** weight
-  ``alpha / (1 + staleness) ** staleness_power``.
+  ``alpha / (1 + staleness) ** staleness_power``.  This is the one
+  FedAsync implementation: over TrainingWorkers, or — as
+  :class:`~repro.algorithms.sampled.SampledAsyncFedAvg` — over a lazy
+  client store at million-client enrolment, with the same handlers.
 
 The variants subclass :class:`DistributedAlgorithm` so ``setup`` gives
 them the shared arena, the batched :class:`ClusterTrainer` and the
-initial broadcast for free; instead of ``run_round`` they expose
+initial broadcast for free (a lazy client store supplies its own arena
+and trainer instead); rather than ``run_round`` they expose
 ``start()`` plus event handlers the engine fires.  Churn and loss models
 are read off the engine (one scenario timeline for everything): an
 offline worker sleeps a cycle and retries, a lost exchange leaves both
@@ -89,12 +93,16 @@ class AsyncAlgorithm(DistributedAlgorithm):
         )
 
     def start(self) -> None:
-        """Schedule every worker's first cycle at t = 0."""
+        """Schedule the first cycles at t = 0."""
         self._cycle_counts = np.zeros(self.num_workers, dtype=np.int64)
         #: The broadcast starting point — what a cold recovery restores.
-        self.initial_model = self.workers[0].snapshot_params()
-        for rank in range(self.num_workers):
+        self.initial_model = self.arena.peek(0).copy()
+        for rank in self._initial_ranks():
             self._begin_cycle(rank, 0.0)
+
+    def _initial_ranks(self):
+        """Workers whose first cycle starts at t = 0: all of them."""
+        return range(self.num_workers)
 
     # ------------------------------------------------------------------
     # fault protocol (engine callbacks; no-ops without an active plan)
@@ -466,10 +474,9 @@ class AsyncGossip(AsyncAlgorithm):
         # Pin both endpoints for the exchange (a no-op on a dense arena):
         # a sharded arena must not evict either row between the masked
         # read and the scatter-back.
-        ctx = self.participation_ctx
-        with ctx.resident(self.arena, (a, b)):
-            row_a = ctx.client_row(self.arena, a)
-            row_b = ctx.client_row(self.arena, b)
+        with self.participation_ctx.resident(self.arena, (a, b)):
+            row_a = self.arena.row(a)
+            row_b = self.arena.row(b)
             averaged = 0.5 * (row_a[indices] + row_b[indices])
             row_a[indices] = averaged
             row_b[indices] = averaged
@@ -586,10 +593,9 @@ class AsyncDPSGD(AsyncAlgorithm):
         # Atomic pairwise averaging: x_i, x_j <- (x_i + x_j) / 2.  The
         # peer keeps computing through it (that is AD-PSGD's overlap).
         # Both endpoint rows pinned for the exchange (no-op dense).
-        ctx = self.participation_ctx
-        with ctx.resident(self.arena, (rank, peer)):
-            row_r = ctx.client_row(self.arena, rank)
-            row_p = ctx.client_row(self.arena, peer)
+        with self.participation_ctx.resident(self.arena, (rank, peer)):
+            row_r = self.arena.row(rank)
+            row_p = self.arena.row(peer)
             mean = 0.5 * (row_r + row_p)
             row_r[...] = mean
             row_p[...] = mean
@@ -606,9 +612,8 @@ class AsyncDPSGD(AsyncAlgorithm):
         staleness = int(self._mix_counts[rank]) - base_mixes - own_mix
         self.staleness_log.append(max(staleness, 0))
         lr = self.workers[rank].optimizer.lr
-        ctx = self.participation_ctx
-        with ctx.resident(self.arena, (rank,)):
-            ctx.client_row(self.arena, rank)[...] -= np.asarray(
+        with self.participation_ctx.resident(self.arena, (rank,)):
+            self.arena.row(rank)[...] -= np.asarray(
                 lr * gradient, dtype=self.arena.dtype
             )
         self.workers[rank].steps_taken += 1
@@ -632,6 +637,12 @@ class AsyncFedAvg(AsyncAlgorithm):
     starts a fresh cycle).  Loss models are queried with the pair
     ``(rank, rank)`` so per-link loss matrices stay in range — their
     diagonal doubles as the worker↔server channel rate.
+
+    The clients are the TrainingWorkers bound by ``setup`` or, in
+    :class:`~repro.algorithms.sampled.SampledAsyncFedAvg`, a lazy client
+    store; the handlers are the same.  A client's arena row is pinned
+    from download to upload, so a sampled arena cannot evict it
+    mid-cycle (a no-op on a dense arena).
     """
 
     name = "Async-FedAvg"
@@ -662,40 +673,56 @@ class AsyncFedAvg(AsyncAlgorithm):
         self._active: set = set()
         self.global_model: Optional[np.ndarray] = None
         self.server_version = 0
-        self.upload_count = 0
+        #: Uploads sent (mixed in, lost or abandoned): the meter slot and
+        #: loss-model index of the next transfer.
+        self.uploads_sent = 0
         #: Uploads discarded by the engine's loss model.
         self.dropped_uploads = 0
 
+    @property
+    def upload_count(self) -> int:
+        """Uploads the server has mixed in (one server version each)."""
+        return self.server_version
+
+    @property
+    def model_bytes(self) -> int:
+        """Bytes of one full-model download or upload."""
+        return self.model_size * BYTES_PER_VALUE
+
     def _after_setup(self) -> None:
-        self.global_model = self.workers[0].snapshot_params()
+        self.global_model = self.arena.peek(0).copy()
         self.server_version = 0
-        if self.network.server_bandwidth is None and self.network.bandwidth is not None:
+        # A lazy client store attaches before the engine supplies the
+        # network; it keeps whatever server link the network was built with.
+        network = self.network
+        if (
+            network is not None
+            and network.server_bandwidth is None
+            and network.bandwidth is not None
+        ):
             # The paper's Fig. 6 convention: the server gets the best link.
-            self.network.server_bandwidth = float(self.network.bandwidth.max())
+            network.server_bandwidth = float(network.bandwidth.max())
 
     # ------------------------------------------------------------------
     # sampled participation: a K-seat pool over the enrolled population
     # ------------------------------------------------------------------
-    def start(self) -> None:
+    def _initial_ranks(self):
         if self.sample_size is None:
-            super().start()
-            return
-        self._cycle_counts = np.zeros(self.num_workers, dtype=np.int64)
-        self.initial_model = self.workers[0].snapshot_params()
-        self._active = set()
+            return super()._initial_ranks()
         count = min(self.sample_size, self.num_workers)
-        initial = self.participation_ctx.initial_seats(0.0, count, self._rng)
-        for rank in initial:
-            self._active.add(int(rank))
-            self._begin_cycle(int(rank), 0.0)
-
-    def _draw_participant(self, now: float) -> Optional[int]:
-        """One fresh (up, idle) client, or ``None`` when none is found."""
-        return self.participation_ctx.draw_seat(now, self._rng, self._active)
+        # The store picks the seat draw: O(K) rejection sampling over a
+        # lazy store, the permutation draw over TrainingWorkers.
+        seats = self.participation_ctx.initial_seats(
+            0.0, count, self._rng, lazy=self.store is not None
+        )
+        self._active = set(seats)
+        return seats
 
     def _fill_seat(self, now: float) -> None:
         """Hand a freed participation seat to a freshly sampled client."""
-        replacement = self._draw_participant(now)
+        replacement = self.participation_ctx.draw_seat(
+            now, self._rng, self._active
+        )
         if replacement is None:
             # Nobody up and idle right now — poll again shortly rather
             # than leaking the seat for the rest of the run.
@@ -705,7 +732,9 @@ class AsyncFedAvg(AsyncAlgorithm):
         self._begin_cycle(replacement, now)
 
     def _cycle_finished(self, rank: int, now: float) -> None:
-        """Cycle end: loop forever (classic) or resample (sampled)."""
+        """Cycle end: unpin the row, then loop forever (classic) or
+        resample (sampled)."""
+        self.arena.release([rank])
         if self.sample_size is None:
             self._begin_cycle(rank, now)
             return
@@ -726,16 +755,15 @@ class AsyncFedAvg(AsyncAlgorithm):
         # waits to be sampled again (its seat was refilled at crash time).
 
     def _start_cycle(self, rank: int, cycle: int, start: float) -> None:
-        engine = self.engine
-        model_bytes = self.model_size * BYTES_PER_VALUE
         # The download carries the global model as of its start.
         snapshot = self.global_model.copy()
         base_version = self.server_version
         # Tracked: a crash mid-download aborts the transfer and frees the
         # server's transmit end (identical to the classic transfer +
         # scheduled completion when no fault plan is active).
-        engine.start_tracked_transfer(
-            start, TrafficMeter.SERVER, rank, model_bytes, self.upload_count,
+        self.engine.start_tracked_transfer(
+            start, TrafficMeter.SERVER, rank, self.model_bytes,
+            self.uploads_sent,
             lambda t, r=rank, c=cycle, s=snapshot, v=base_version: (
                 self._on_download(r, c, s, v, t)
             ),
@@ -746,7 +774,10 @@ class AsyncFedAvg(AsyncAlgorithm):
         self, rank: int, cycle: int, snapshot: np.ndarray, base_version: int,
         now: float,
     ) -> None:
-        self.arena.data[rank] = np.asarray(snapshot, dtype=self.arena.dtype)
+        # Pinned until _cycle_finished: the local steps and the upload
+        # read this row.
+        self.arena.acquire([rank])
+        self.arena.row(rank)[...] = snapshot
         engine = self.engine
         duration = engine.compute_seconds(cycle, rank, self.local_steps)
         engine.trace.add(rank, "compute", now, now + duration)
@@ -760,9 +791,9 @@ class AsyncFedAvg(AsyncAlgorithm):
     def _on_local_done(self, rank: int, base_version: int, now: float) -> None:
         self._run_local(rank)
         engine = self.engine
-        model_bytes = self.model_size * BYTES_PER_VALUE
-        index = self.upload_count
-        self.upload_count += 1
+        model_bytes = self.model_bytes
+        index = self.uploads_sent
+        self.uploads_sent += 1
         if engine.faults_active:
             # Upload under faults: deadline + backoff retries on loss or
             # mid-flight crash; exhausting the budget abandons the upload
@@ -805,7 +836,7 @@ class AsyncFedAvg(AsyncAlgorithm):
         staleness = self.server_version - base_version
         self.staleness_log.append(staleness)
         alpha = self.mixing / float((1 + staleness) ** self.staleness_power)
-        upload = self.arena.data[rank]
+        upload = self.arena.row(rank)
         mixed = (1.0 - alpha) * self.global_model + alpha * upload
         self.global_model = mixed.astype(self.global_model.dtype, copy=False)
         self.server_version += 1

@@ -1,8 +1,10 @@
 """Common interface of the seven compared distributed algorithms.
 
 Each algorithm binds to a list of :class:`TrainingWorker` and a
-:class:`SimulatedNetwork` (:meth:`DistributedAlgorithm.setup`) and then
-executes synchronous communication rounds (:meth:`run_round`).  Traffic
+:class:`SimulatedNetwork` (:meth:`DistributedAlgorithm.setup`) — or, at
+million-client enrolment, to a lazy client store
+(:meth:`DistributedAlgorithm.attach_store`) — and then executes
+synchronous communication rounds (:meth:`run_round`).  Traffic
 and time fall out of the network's meters, so the harness can plot every
 algorithm on the paper's axes without algorithm-specific glue.
 """
@@ -45,6 +47,9 @@ class DistributedAlgorithm:
         #: batched path; ``None`` keeps the per-worker compute loop.
         #: Set by :meth:`setup`.
         self.cluster_trainer = None
+        #: The :class:`~repro.algorithms.sampled.LazyClientStore` the
+        #: clients live in, or ``None`` when they are :attr:`workers`.
+        self.store = None
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -96,6 +101,19 @@ class DistributedAlgorithm:
         )
         self._after_setup()
 
+    def attach_store(self, store) -> None:
+        """Bind a lazy client store in place of TrainingWorkers.
+
+        ``store.arena`` holds the client rows and ``store.trainer``
+        answers the trainer calls the algorithms make
+        (``batched_steps``, ``evaluate_vector``).  No network is bound
+        here: the event engine supplies it at ``bind``.
+        """
+        self.store = store
+        self.arena = store.arena
+        self.cluster_trainer = store.trainer
+        self._after_setup()
+
     def _after_setup(self) -> None:
         """Hook for per-algorithm state (buffers, replicas, coordinator)."""
 
@@ -111,11 +129,13 @@ class DistributedAlgorithm:
     # ------------------------------------------------------------------
     @property
     def num_workers(self) -> int:
+        if self.store is not None:
+            return self.store.num_clients
         return len(self.workers)
 
     @property
     def model_size(self) -> int:
-        return self.workers[0].model_size
+        return self.arena.model_size
 
     def _local_gradients_into_arena(self) -> np.ndarray:
         """One sampled mini-batch gradient per worker, left in

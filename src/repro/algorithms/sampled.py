@@ -1,4 +1,4 @@
-"""Million-client sampled-participation AsyncFedAvg.
+"""Million-client execution: a lazy client store and its two consumers.
 
 The worker-backed algorithm stack materializes a :class:`TrainingWorker`
 (model, optimizer, dataset partition) per enrolled client — O(n) memory
@@ -6,23 +6,26 @@ and O(n) setup, which caps runs at a few thousand clients.  Production
 federated populations are 10⁵–10⁷ enrolled clients of which a few
 hundred participate per round; everything per-client must be lazy.
 
-This module is that execution mode, composed from the PR's pieces:
+:class:`LazyClientStore` is the worker-less substrate the algorithms
+attach instead (:meth:`DistributedAlgorithm.attach_store`):
 
 * state lives in a :class:`~repro.nn.sharded.ShardedArena` — resident
   rows ∝ concurrently active clients, dormant clients cost nothing;
 * per-client *data* is virtual too: :class:`LogisticBlobsTask` draws
   each client's batches from a :func:`~repro.utils.rng.derive_seed`
   substream on demand, so no partition list is ever materialized;
-* availability comes from a lazy
-  :class:`~repro.sim.population.ClientPopulation` arrival process;
-* the event schedule runs on the calendar-queue engine; per-upload the
-  server applies the same FedAsync staleness-weighted mixing rule as
-  :class:`~repro.algorithms.asynchronous.AsyncFedAvg`.
+* :class:`TaskTrainer` answers the two calls the algorithms make on a
+  :class:`~repro.sim.cluster.ClusterTrainer` (``batched_steps`` and
+  ``evaluate_vector``) through the task.
 
-:class:`SampledAsyncFedAvg` speaks the engine protocol (``bind`` /
-``start`` / ``mean_train_loss`` / ``consensus_distance``) plus the
-``evaluate_consensus_model`` hook, so :meth:`EventEngine.run` drives and
-checkpoints it like any worker-backed variant.
+Two algorithms run on it:
+
+* :class:`SampledAsyncFedAvg` is
+  :class:`~repro.algorithms.asynchronous.AsyncFedAvg` — the same event
+  handlers, seat pool and FedAsync server rule — constructed over a
+  store; this class only adapts the constructor and ``bind``;
+* :class:`SampledSAPS` runs sampled-neighborhood SAPS-PSGD rounds with
+  the store's trainer for local steps.
 """
 
 from __future__ import annotations
@@ -31,10 +34,11 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.algorithms.asynchronous import AsyncFedAvg
+from repro.algorithms.base import DistributedAlgorithm
 from repro.compression.base import BYTES_PER_VALUE
 from repro.compression.random_mask import generate_mask
 from repro.core.matching import greedy_weighted_matching
-from repro.network.metrics import TrafficMeter
 from repro.nn.sharded import ShardedArena
 from repro.utils.dtypes import DTypeLike, resolve_dtype
 from repro.utils.rng import derive_seed
@@ -148,25 +152,112 @@ class LogisticBlobsTask:
         return loss, accuracy
 
 
-class SampledAsyncFedAvg:
+class TaskTrainer:
+    """The :class:`~repro.sim.cluster.ClusterTrainer` calls, answered by a
+    lazy task.
+
+    ``batched_steps`` runs :meth:`LogisticBlobsTask.run_local` on each
+    client's arena row in turn.  A per-client cycle counter picks the
+    batches: a client's ``c``-th participation trains on steps
+    ``c·k … c·k + k − 1`` of its data substream, whichever algorithm
+    drives it.
+    """
+
+    def __init__(
+        self, task: LogisticBlobsTask, arena: ShardedArena, lr: float
+    ) -> None:
+        self.task = task
+        self.arena = arena
+        self.lr = float(lr)
+        self._cycles: Dict[int, int] = {}
+
+    def batched_steps(self, k: int, ranks) -> np.ndarray:
+        """``k`` local steps for each client of ``ranks``, in order.
+
+        Returns a ``(len(ranks), 1)`` matrix: the task reports one mean
+        loss per client cycle, not one per step."""
+        losses = np.empty((len(ranks), 1), dtype=np.float64)
+        for i, client in enumerate(ranks):
+            client = int(client)
+            cycle = self._cycles.get(client, 0)
+            self._cycles[client] = cycle + 1
+            losses[i, 0] = self.task.run_local(
+                self.arena.row(client), client, cycle, k, self.lr
+            )
+        return losses
+
+    def evaluate_vector(
+        self, vector: np.ndarray, dataset
+    ) -> Tuple[float, float]:
+        """(validation loss, accuracy) of ``vector``; the task owns its
+        validation split, so ``dataset`` is not read."""
+        return self.task.evaluate(vector)
+
+
+class LazyClientStore:
+    """Enrolled clients as a lazy task over a sampled :class:`ShardedArena`.
+
+    The worker-less counterpart of a list of :class:`TrainingWorker`:
+    ``arena`` holds the client rows (resident memory ∝ ``capacity``,
+    never enrolment) and ``trainer`` runs local steps and evaluation
+    through ``task``.  ``capacity`` defaults to the ``sample_size``
+    participants that may be pinned at once plus reuse headroom.
+    ``retain_evicted`` picks the eviction semantics: peer-to-peer state
+    must survive between participations, server-centric state is
+    downloaded fresh every time.
+    """
+
+    def __init__(
+        self,
+        task: LogisticBlobsTask,
+        num_clients: int,
+        sample_size: int,
+        capacity: Optional[int] = None,
+        lr: float = 0.1,
+        dtype: DTypeLike = None,
+        retain_evicted: bool = True,
+    ) -> None:
+        if capacity is None:
+            # Headroom above the pinned set so pins can never dead-lock
+            # and recently-active rows get a little reuse.
+            capacity = min(num_clients, 2 * sample_size + 16)
+        capacity = int(capacity)
+        if capacity < sample_size:
+            raise ValueError(
+                f"capacity ({capacity}) must cover the {sample_size} "
+                f"concurrently pinned participants"
+            )
+        self.task = task
+        self.num_clients = int(num_clients)
+        self.arena = ShardedArena(
+            num_clients,
+            task.model_size,
+            dtype=resolve_dtype(dtype),
+            capacity=capacity,
+            retain_evicted=retain_evicted,
+        )
+        self.trainer = TaskTrainer(task, self.arena, lr)
+
+
+class SampledAsyncFedAvg(AsyncFedAvg):
     """FedAsync over an enrolled population with K in-flight participants.
 
-    At any moment exactly ``sample_size`` clients hold a participation
-    seat: download → local steps → upload → staleness-weighted server
-    mix, then the seat is handed to a freshly sampled (up, idle) client.
-    All per-client state rides the :class:`ShardedArena` pinned across
-    the participation, so resident memory is ∝ the active set for any
-    enrolment.
+    :class:`~repro.algorithms.asynchronous.AsyncFedAvg` with
+    ``sample_size`` seats, run over a :class:`LazyClientStore`: at any
+    moment exactly ``sample_size`` clients hold a participation seat —
+    download → local steps → upload → staleness-weighted server mix,
+    then the seat goes to a freshly sampled (up, idle) client.  Each
+    client's row stays pinned from download to upload, so resident
+    memory is ∝ the active set for any enrolment.
 
-    The server mixing rule, staleness accounting and traffic metering
-    match :class:`~repro.algorithms.asynchronous.AsyncFedAvg`; the
-    difference is purely the lazy substrate (no TrainingWorkers, no
-    partitions, no dense arena).  Fault plans are not supported — the
-    crash/recovery machinery lives in the worker-backed stack.
+    Only construction differs from the worker-backed class: no
+    ``setup`` (the store replaces the workers, the network comes from
+    the engine at :meth:`bind`) and the seat draws come from this
+    class's own ``"sampled-server"`` seed substream.  Fault plans are
+    not supported — the crash/recovery machinery needs TrainingWorkers.
     """
 
     name = "Sampled-Async-FedAvg"
-    is_asynchronous = True
 
     def __init__(
         self,
@@ -189,209 +280,36 @@ class SampledAsyncFedAvg:
             raise ValueError(
                 f"sample_size must be in [1, {num_clients}], got {sample_size}"
             )
-        if local_steps < 1:
-            raise ValueError(f"local_steps must be >= 1, got {local_steps}")
-        if not 0.0 < mixing <= 1.0:
-            raise ValueError(f"mixing must be in (0, 1], got {mixing}")
-        if staleness_power < 0.0:
-            raise ValueError(
-                f"staleness_power must be >= 0, got {staleness_power}"
-            )
-        if capacity is None:
-            # Headroom above the pinned set so pins can never dead-lock
-            # and recently-active rows get a little reuse.
-            capacity = min(num_clients, 2 * sample_size + 16)
-        capacity = int(capacity)
-        if capacity < sample_size:
-            raise ValueError(
-                f"capacity ({capacity}) must cover the {sample_size} "
-                f"concurrently pinned participants"
-            )
+        super().__init__(
+            local_steps=local_steps,
+            mixing=mixing,
+            staleness_power=staleness_power,
+            sample_size=sample_size,
+        )
         self.task = task
-        self.num_workers = num_clients  # engine-protocol name
         self.num_clients = num_clients
-        self.sample_size = sample_size
-        self.local_steps = int(local_steps)
-        self.mixing = float(mixing)
-        self.staleness_power = float(staleness_power)
         self.lr = float(lr)
-        self.model_size = task.model_size
-        self.model_bytes = task.model_size * BYTES_PER_VALUE
-        dtype = resolve_dtype(dtype)
         # Server-centric semantics: participants always download fresh
         # global state, so evicted rows need no writeback store.
-        self.arena = ShardedArena(
-            num_clients,
-            task.model_size,
-            dtype=dtype,
-            capacity=capacity,
-            retain_evicted=False,
-        )
-        self.global_model = np.zeros(task.model_size, dtype=dtype)
-        self.arena.set_cold(self.global_model)
-        self._rng = np.random.default_rng(derive_seed(seed, "sampled-server"))
-        self.engine = None
-        #: Shared participation/residency layer, built at :meth:`bind`.
-        self.participation_ctx = None
-        self.server_version = 0
-        self.upload_count = 0
-        self.total_local_steps = 0
-        self.staleness_log: List[int] = []
-        self._loss_sum = 0.0
-        self._loss_events = 0
-        self._active: set = set()
-        self._cycle_counts: Dict[int, int] = {}
-
-    # ------------------------------------------------------------------
-    # engine protocol
-    # ------------------------------------------------------------------
-    def bind(self, engine) -> None:
-        if engine.num_workers != self.num_clients:
-            raise ValueError(
-                f"engine has {engine.num_workers} workers, algorithm "
-                f"has {self.num_clients}"
+        self.attach_store(
+            LazyClientStore(
+                task, num_clients, sample_size, capacity, lr, dtype,
+                retain_evicted=False,
             )
+        )
+        self._rng = np.random.default_rng(derive_seed(seed, "sampled-server"))
+
+    def bind(self, engine) -> None:
         if engine.faults_active:
             raise ValueError(
                 "SampledAsyncFedAvg does not support fault plans — use the "
                 "worker-backed AsyncFedAvg for crash/recovery studies"
             )
-        self.engine = engine
-        from repro.sim.participation import ParticipationContext
-
-        self.participation_ctx = ParticipationContext(
-            self.num_clients,
-            population=getattr(engine, "population", None),
-            sample_size=self.sample_size,
-        )
-
-    def start(self) -> None:
-        initial = self.participation_ctx.initial_seats(
-            0.0, self.sample_size, self._rng, lazy=True
-        )
-        for client in initial:
-            self._active.add(int(client))
-            self._launch(int(client), 0.0)
-
-    @property
-    def mean_train_loss(self) -> float:
-        if self._loss_events == 0:
-            return float("nan")
-        return self._loss_sum / self._loss_events
-
-    def consensus_model(self) -> np.ndarray:
-        return self.global_model.copy()
-
-    def consensus_distance(self) -> float:
-        """Mean squared distance of *resident* rows to the global model.
-
-        The dense definition averages over every worker; at million-scale
-        only the active working set is materialized, so this reports the
-        drift of the rows that exist — the honest sampled analogue.
-        """
-        slots = self.arena.resident_slots()
-        if slots.size == 0:
-            return 0.0
-        diffs = self.arena.data[slots] - self.global_model
-        return float(np.mean(np.sum(diffs ** 2, axis=1)))
-
-    def evaluate_consensus_model(self, validation) -> Tuple[float, float]:
-        """Engine snapshot hook: the task owns its validation split."""
-        return self.task.evaluate(self.global_model)
-
-    # ------------------------------------------------------------------
-    # sampling (delegated to the shared participation layer)
-    # ------------------------------------------------------------------
-    def _draw_participant(self, now: float) -> Optional[int]:
-        return self.participation_ctx.draw_seat(now, self._rng, self._active)
-
-    def _fill_seat(self, now: float) -> None:
-        replacement = self._draw_participant(now)
-        if replacement is None:
-            self.engine.schedule(now + 1.0, self._fill_seat)
-            return
-        self._active.add(replacement)
-        self._launch(replacement, now)
-
-    # ------------------------------------------------------------------
-    # the participation state machine
-    # ------------------------------------------------------------------
-    def _launch(self, client: int, now: float) -> None:
-        engine = self.engine
-        population = engine.population
-        if population is not None:
-            up_at = population.next_up(client, now)
-            if up_at > now:
-                engine.schedule(
-                    up_at, lambda t, c=client: self._launch(c, t)
-                )
-                return
-        # The download carries the global model as of its start.
-        snapshot = self.global_model.copy()
-        version = self.server_version
-        _, dl_end = engine.start_transfer(
-            now, TrafficMeter.SERVER, client, self.model_bytes,
-            self.upload_count,
-        )
-        engine.schedule(
-            max(dl_end, now),
-            lambda t, c=client, s=snapshot, v=version: (
-                self._on_download(c, s, v, t)
-            ),
-        )
-
-    def _on_download(
-        self, client: int, snapshot: np.ndarray, version: int, now: float
-    ) -> None:
-        engine = self.engine
-        # Pin for the whole participation: local steps and the upload
-        # read/write this row, eviction in between would tear it.
-        self.arena.acquire([client])
-        self.arena.row(client)[...] = snapshot
-        cycle = self._cycle_counts.get(client, 0)
-        self._cycle_counts[client] = cycle + 1
-        duration = engine.compute_seconds(cycle, client, self.local_steps)
-        engine.trace.add(client, "compute", now, now + duration)
-        engine.schedule(
-            now + duration,
-            lambda t, c=client, v=version, cy=cycle: (
-                self._on_compute_done(c, v, cy, t)
-            ),
-        )
-
-    def _on_compute_done(
-        self, client: int, version: int, cycle: int, now: float
-    ) -> None:
-        loss = self.task.run_local(
-            self.arena.row(client), client, cycle, self.local_steps, self.lr
-        )
-        self.total_local_steps += self.local_steps
-        self._loss_sum += loss
-        self._loss_events += 1
-        _, ul_end = self.engine.start_transfer(
-            now, client, TrafficMeter.SERVER, self.model_bytes,
-            self.upload_count,
-        )
-        self.engine.schedule(
-            max(ul_end, now),
-            lambda t, c=client, v=version: self._on_upload(c, v, t),
-        )
-
-    def _on_upload(self, client: int, version: int, now: float) -> None:
-        staleness = self.server_version - version
-        self.staleness_log.append(staleness)
-        alpha = self.mixing / float((1 + staleness) ** self.staleness_power)
-        upload = self.arena.row(client)
-        mixed = (1.0 - alpha) * self.global_model + alpha * upload
-        self.global_model = mixed.astype(self.global_model.dtype, copy=False)
-        self.server_version += 1
-        self.upload_count += 1
-        self.arena.release([client])
-        self._active.discard(client)
-        self._fill_seat(now)
+        self.network = engine.network
+        super().bind(engine)
 
 
-class SampledSAPS:
+class SampledSAPS(DistributedAlgorithm):
     """Sampled-neighborhood SAPS-PSGD over a huge enrolled population.
 
     The worker-backed :class:`~repro.algorithms.saps_psgd.SAPSPSGD` plans
@@ -408,10 +326,11 @@ class SampledSAPS:
     participations, unlike the download-fresh server-centric
     :class:`SampledAsyncFedAvg`.
 
-    Resident memory is ∝ ``capacity``, never enrolment; the consensus
-    diagnostics stream over resident rows + writeback store + lazy cold
-    mass (:func:`~repro.theory.streaming.arena_consensus`), so nothing
-    ever materializes ``(n, N)``.
+    Resident memory is ∝ ``capacity``, never enrolment; the inherited
+    consensus diagnostics are the arena's, which stream over resident
+    rows + writeback store + lazy cold mass in sampled mode
+    (:func:`~repro.theory.streaming.arena_consensus`), so nothing ever
+    materializes ``(n, N)``.
     """
 
     name = "Sampled-SAPS"
@@ -430,6 +349,7 @@ class SampledSAPS:
         dtype: DTypeLike = None,
         seed: int = 0,
     ) -> None:
+        super().__init__()
         num_clients = int(num_clients)
         sample_size = int(sample_size)
         if num_clients < 2:
@@ -444,18 +364,8 @@ class SampledSAPS:
             )
         if local_steps < 1:
             raise ValueError(f"local_steps must be >= 1, got {local_steps}")
-        if capacity is None:
-            # Room for the pinned participant set plus reuse headroom.
-            capacity = min(num_clients, 2 * sample_size + 16)
-        capacity = int(capacity)
-        if capacity < sample_size:
-            raise ValueError(
-                f"capacity ({capacity}) must cover the {sample_size} "
-                f"concurrently pinned participants"
-            )
         self.task = task
         self.num_clients = num_clients
-        self.num_workers = num_clients
         self.sample_size = sample_size
         self.compression_ratio = float(compression_ratio)
         self.local_steps = int(local_steps)
@@ -463,16 +373,13 @@ class SampledSAPS:
         self.round_duration = float(round_duration)
         self.population = population
         self.seed = int(seed)
-        self.model_size = task.model_size
-        self.model_bytes = task.model_size * BYTES_PER_VALUE
         # Peer-to-peer semantics: an evicted participant's row must
         # survive to its next participation, so writeback is mandatory.
-        self.arena = ShardedArena(
-            num_clients,
-            task.model_size,
-            dtype=resolve_dtype(dtype),
-            capacity=capacity,
-            retain_evicted=True,
+        self.attach_store(
+            LazyClientStore(
+                task, num_clients, sample_size, capacity, lr, dtype,
+                retain_evicted=True,
+            )
         )
         # Dedicated substreams, mirroring SAPSPSGD: participation draws
         # never perturb matching tie-breaks or mask seeds.
@@ -483,12 +390,10 @@ class SampledSAPS:
             derive_seed(self.seed, "matching")
         )
         self._bandwidth: Dict[int, float] = {}
-        self.last_participants: Optional[List[int]] = None
         self.rounds_run = 0
         self.exchange_count = 0
         self.exchanged_bytes = 0
         self.total_local_steps = 0
-        self._cycle_counts: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # participation / bandwidth (both lazy)
@@ -567,24 +472,14 @@ class SampledSAPS:
 
         # Pin the whole participant set for the round: local SGD and the
         # pairwise merge hold live row views, eviction would tear them.
-        losses = []
         with ctx.resident(self.arena, participants):
-            for client in participants:
-                cycle = self._cycle_counts.get(client, 0)
-                self._cycle_counts[client] = cycle + 1
-                losses.append(
-                    self.task.run_local(
-                        self.arena.row(client),
-                        client,
-                        cycle,
-                        self.local_steps,
-                        self.lr,
-                    )
-                )
+            losses = self.cluster_trainer.batched_steps(
+                self.local_steps, participants
+            )
             self.total_local_steps += len(participants) * self.local_steps
             for a, b in matching:
-                row_a = ctx.client_row(self.arena, a)
-                row_b = ctx.client_row(self.arena, b)
+                row_a = self.arena.row(a)
+                row_b = self.arena.row(b)
                 averaged = 0.5 * (row_a[indices] + row_b[indices])
                 row_a[indices] = averaged
                 row_b[indices] = averaged
@@ -596,8 +491,12 @@ class SampledSAPS:
         return float(np.mean(losses))
 
     # ------------------------------------------------------------------
-    # streamed diagnostics (never materialize (n, N))
+    # streamed diagnostics at every capacity
     # ------------------------------------------------------------------
+    # A sampled arena streams its consensus reductions anyway; a dense-mode
+    # one (capacity >= enrolment) keeps the dense arena's one-pass
+    # formulas, which round differently at float32.  Streaming both keeps
+    # evaluation independent of capacity.
     def _streamed(self) -> Tuple[np.ndarray, float]:
         # Imported here: repro.theory pulls in repro.sim.engine at module
         # load, which circles back into repro.algorithms.

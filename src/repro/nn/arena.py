@@ -36,7 +36,7 @@ operations replace live on as equivalence oracles in ``tests/reference/``.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -138,6 +138,20 @@ class ParameterArena:
     def grad_row(self, rank: int) -> np.ndarray:
         """Worker ``rank``'s flat gradient (live view)."""
         return self.grads[rank]
+
+    def peek(self, rank: int) -> np.ndarray:
+        """Worker ``rank``'s flat model without side effects — here the
+        live row; a sampled :class:`~repro.nn.sharded.ShardedArena` does
+        not fault the row in."""
+        return self.data[rank]
+
+    def acquire(self, ranks: Iterable[int]) -> None:
+        """Pin rows resident across a deferred use.  Every row of a dense
+        arena always is, so this is a no-op; see
+        :meth:`ShardedArena.acquire <repro.nn.sharded.ShardedArena.acquire>`."""
+
+    def release(self, ranks: Iterable[int]) -> None:
+        """Drop the pins of :meth:`acquire` (no-op on a dense arena)."""
 
     def broadcast_row(self, source: int) -> None:
         """Overwrite every replica with row ``source`` (initial sync)."""

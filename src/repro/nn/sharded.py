@@ -23,7 +23,11 @@ the rows that are actually touched:
   stand-in) — and evicting the least-recently-used unpinned resident
   when the shard is full.  :meth:`acquire` / :meth:`release` pin a
   participant set for the duration of a round so mid-round evictions
-  cannot tear the rows a batched kernel is writing.
+  cannot tear the rows a batched kernel is writing.  The consensus
+  reductions stream over resident rows, the writeback store and the
+  cold mass (:func:`~repro.theory.streaming.arena_consensus`); the ops
+  that need every row materialized (``mix``, ``adopt``,
+  ``broadcast_row``) raise.
 
 ``resident_bytes()`` is the honest accounting the million-client demo
 and the ``sharded_memory`` benchmark report: slot storage plus writeback
@@ -351,20 +355,36 @@ class ShardedArena(ParameterArena):
         self._require_dense("broadcast_row()")
         super().broadcast_row(source)
 
-    def mean_model(self) -> np.ndarray:
-        self._require_dense("mean_model()")
-        return super().mean_model()
-
-    def consensus_distance(self) -> float:
-        self._require_dense("consensus_distance()")
-        return super().consensus_distance()
-
     def mix(self, gossip: np.ndarray) -> None:
         self._require_dense("mix()")
         super().mix(gossip)
 
     # ------------------------------------------------------------------
-    # sampled-mode reductions over the *resident* set
+    # consensus reductions (streamed in sampled mode)
+    # ------------------------------------------------------------------
+    def _streamed(self):
+        # Imported here: repro.theory pulls in repro.sim at module load,
+        # which imports this package.
+        from repro.theory.streaming import arena_consensus
+
+        return arena_consensus(self)
+
+    def mean_model(self) -> np.ndarray:
+        """``X̄`` over all enrolled clients; sampled mode folds it from
+        resident rows, writeback store and cold mass."""
+        if self.dense:
+            return super().mean_model()
+        return self._streamed()[0]
+
+    def consensus_distance(self) -> float:
+        """``(1/n)Σᵢ‖xᵢ − x̄‖²`` over all enrolled clients (streamed in
+        sampled mode)."""
+        if self.dense:
+            return super().consensus_distance()
+        return self._streamed()[1]
+
+    # ------------------------------------------------------------------
+    # sampled-mode views of the *resident* set
     # ------------------------------------------------------------------
     def resident_slots(self) -> np.ndarray:
         """Slots currently holding a client row (ascending)."""

@@ -693,17 +693,13 @@ class EventEngine:
             self._schedule_faults(float(duration))
 
         def snapshot(at: float) -> None:
-            # Algorithms without TrainingWorkers (the million-client
-            # sampled driver) evaluate their own consensus model; the
-            # worker-backed variants go through the shared probe worker.
-            evaluator = getattr(algorithm, "evaluate_consensus_model", None)
+            # One evaluation path for every algorithm: the trainer's
+            # evaluate_vector — the batched kernels over TrainingWorkers,
+            # the task's own validation split over a lazy client store.
             with obs.phase("eval"):
-                if evaluator is not None:
-                    val_loss, val_accuracy = evaluator(validation)
-                else:
-                    val_loss, val_accuracy = evaluate_consensus(
-                        algorithm, validation
-                    )
+                val_loss, val_accuracy = evaluate_consensus(
+                    algorithm, validation
+                )
             staleness = getattr(algorithm, "staleness_log", [])
             result.history.append(
                 TimedRecord(

@@ -323,23 +323,12 @@ class ParticipationContext:
         On a :class:`~repro.nn.sharded.ShardedArena` this acquires (and
         on exit releases) a pin per client, so LRU eviction cannot tear
         an exchange's endpoint rows mid-use; eviction-time writeback
-        after release is the arena's business.  On a dense arena (or
-        ``None``) the scope is a no-op — the legacy path, bit-identical.
+        after release is the arena's business.  On a dense arena the
+        pins are no-ops — the legacy path, bit-identical.
         """
         clients = list(clients)
-        pinned = arena is not None and hasattr(arena, "acquire")
-        if pinned:
-            arena.acquire(clients)
+        arena.acquire(clients)
         try:
             yield arena
         finally:
-            if pinned:
-                arena.release(clients)
-
-    @staticmethod
-    def client_row(arena, client: int) -> np.ndarray:
-        """Client ``client``'s flat parameter row on any arena flavour."""
-        row = getattr(arena, "row", None)
-        if row is not None:
-            return row(client)
-        return arena.data[client]
+            arena.release(clients)

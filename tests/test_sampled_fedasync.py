@@ -1,4 +1,4 @@
-"""SampledAsyncFedAvg: the million-client FedAsync driver.
+"""SampledAsyncFedAvg: AsyncFedAvg over a lazy client store.
 
 Pins the server rule ``α = mixing / (1 + s) ** p`` (Xie et al., 2019) on
 a hand-computed two-upload trace, the K-seat participation pool, the

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import ParameterArena, ShardedArena
+from repro.theory.streaming import arena_consensus
 
 
 def assert_records_identical(left, right, context=""):
@@ -169,10 +170,17 @@ class TestSampledMode:
         assert small.resident_clients <= 64
 
     def test_dense_only_ops_raise_in_sampled_mode(self):
-        arena = ShardedArena(10, 4, capacity=2)
-        for op in (arena.mean_model, arena.consensus_distance):
-            with pytest.raises(RuntimeError, match="materialized"):
-                op()
+        # The consensus reductions stream instead of raising: resident
+        # rows, writeback store and cold mass, the same fold as
+        # arena_consensus.  mix needs every row and still raises.
+        arena = ShardedArena(10, 4, capacity=2, cold=np.full(4, 0.5))
+        for client in (3, 7, 1):  # three touches: client 3 is evicted
+            arena.row(client)[...] = client
+        assert arena.stored_clients == 1
+        mean, distance = arena_consensus(arena)
+        np.testing.assert_array_equal(arena.mean_model(), mean)
+        assert arena.consensus_distance() == distance
+        assert distance > 0.0
         with pytest.raises(RuntimeError, match="materialized"):
             arena.mix(np.eye(2))
 
