@@ -14,7 +14,7 @@
 #     one worker goes unmatched in the pairwise families);
 #   * --engine event for saps-psgd, d-psgd and fedavg (the three
 #     asynchronous families);
-#   * one event run under --fault-plan mttf=20,mttr=5;
+#   * the three asynchronous families under --fault-plan mttf=20,mttr=5;
 #   * one event run on --arena sharded;
 #   * one event fedavg run with K-seat sampled participation over a
 #     renewal population (the worker-backed seat pool).
@@ -49,7 +49,9 @@ done
 for algorithm in saps-psgd d-psgd fedavg; do
     runs+=("event-$algorithm|--algorithm $algorithm $EVENT")
 done
-runs+=("event-saps-psgd-faults|--algorithm saps-psgd $EVENT --fault-plan mttf=20,mttr=5")
+for algorithm in saps-psgd d-psgd fedavg; do
+    runs+=("event-$algorithm-faults|--algorithm $algorithm $EVENT --fault-plan mttf=20,mttr=5")
+done
 runs+=("event-d-psgd-sharded|--algorithm d-psgd $EVENT --arena sharded")
 runs+=("event-fedavg-sampled|--algorithm fedavg $EVENT --participation sampled --sample-size 4 --population-model renewal:up=6,down=3")
 

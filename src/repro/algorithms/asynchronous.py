@@ -25,10 +25,14 @@ The variants subclass :class:`DistributedAlgorithm` so ``setup`` gives
 them the shared arena, the batched :class:`ClusterTrainer` and the
 initial broadcast for free (a lazy client store supplies its own arena
 and trainer instead); rather than ``run_round`` they expose
-``start()`` plus event handlers the engine fires.  Churn and loss models
-are read off the engine (one scenario timeline for everything): an
-offline worker sleeps a cycle and retries, a lost exchange leaves both
-peers unmixed.
+``start()`` plus event handlers the engine fires.  Churn, loss and
+fault models are read off the engine (one scenario timeline for
+everything): an offline worker sleeps a cycle and retries.  Every
+exchange (a gossip pair, an AD-PSGD averaging, a FedAsync upload) goes
+through :meth:`AsyncAlgorithm._drive_exchange`; a run without a fault
+plan is its degenerate case.  One loss rule holds: without a plan a
+dropped attempt is abandoned at once (nothing metered, the peers go on
+unmixed), and under a plan it is retried with deadline and backoff.
 """
 
 from __future__ import annotations
@@ -137,6 +141,7 @@ class AsyncAlgorithm(DistributedAlgorithm):
 
     def _drive_exchange(
         self,
+        now: float,
         driver: int,
         partner: int,
         num_bytes: int,
@@ -144,104 +149,108 @@ class AsyncAlgorithm(DistributedAlgorithm):
         on_success,
         on_give_up,
         attempt: int = 0,
-        now: Optional[float] = None,
         takeover: bool = True,
         bidirectional: bool = True,
         loss_key: Optional[tuple] = None,
         driver_inc: Optional[int] = None,
         partner_inc: Optional[int] = None,
     ) -> None:
-        """One fault-aware exchange attempt, driven from ``driver``'s side.
+        """One exchange attempt, driven from ``driver``'s side: the one
+        exchange path of every asynchronous variant.
 
-        Only called with faults active.  The attempt either:
+        The attempt either:
 
         * expires at ``policy.timeout`` when the partner is dead,
           restarted, or the link is down ("waiting on a dead peer");
-        * is dropped by the loss model (the transfer time is paid, the
-          payload is not delivered);
+        * is dropped by the loss model (queried with ``loss_key``,
+          default ``(driver, partner)``);
         * starts a tracked transfer that a mid-flight crash aborts; or
         * completes, firing ``on_success(t)``.
 
-        Every failure path funnels into the same retry logic: exponential
-        backoff with seed-deterministic jitter, then a fresh attempt;
-        after ``max_retries`` the driver abandons the exchange and
-        ``on_give_up(t, survivor)`` fires (the re-match path).  If the
-        *driver* crashes mid-flight and ``takeover`` is set, the
-        surviving partner inherits the retry loop — a crash always
-        leaves the survivor in charge of its own deadline.
+        Without an active fault plan nobody is ever dead, so only the
+        last three apply, and a dropped attempt is abandoned at once:
+        ``on_give_up(now, driver)`` fires, no byte is metered, no
+        deadline is set and no :class:`ResilienceStats` are kept.
+
+        Under a plan a drop pays the transfer time without delivering
+        the payload, and every failure funnels into the same retry
+        logic: exponential backoff with seed-deterministic jitter, then
+        a fresh attempt; after ``max_retries`` the driver abandons the
+        exchange and ``on_give_up(t, driver)`` fires (the re-match
+        path).  If the *driver* crashes mid-flight and ``takeover`` is
+        set, the surviving partner inherits the retry loop, so a crash
+        always leaves the survivor in charge of its own deadline.
         """
         engine = self.engine
-        policy = engine.exchange_policy
-        stats = engine.resilience
-        if now is None:
-            now = engine.now
-        if driver_inc is None:
-            driver_inc = engine.node_incarnation(driver)
-        if partner_inc is None:
-            partner_inc = engine.node_incarnation(partner)
+        fail = None
+        if engine.faults_active:
+            policy = engine.exchange_policy
+            stats = engine.resilience
+            if driver_inc is None:
+                driver_inc = engine.node_incarnation(driver)
+            if partner_inc is None:
+                partner_inc = engine.node_incarnation(partner)
 
-        def driver_ok() -> bool:
-            return (
-                engine.node_up(driver)
-                and engine.node_incarnation(driver) == driver_inc
-            )
+            def alive(node: int, inc: int) -> bool:
+                return (
+                    engine.node_up(node) and engine.node_incarnation(node) == inc
+                )
 
-        def partner_ok() -> bool:
-            return (
-                engine.node_up(partner)
-                and engine.node_incarnation(partner) == partner_inc
-            )
+            def retry(t: float, a: int, b: int, a_inc: int, b_inc: int):
+                self._drive_exchange(
+                    t, a, b, num_bytes, index, on_success, on_give_up,
+                    attempt + 1, takeover, bidirectional, loss_key, a_inc,
+                    b_inc,
+                )
 
-        def retry(t: float) -> None:
-            self._drive_exchange(
-                driver, partner, num_bytes, index, on_success, on_give_up,
-                attempt + 1, t, takeover=takeover,
-                bidirectional=bidirectional, loss_key=loss_key,
-                driver_inc=driver_inc, partner_inc=partner_inc,
-            )
+            def fail(t: float) -> None:
+                if not alive(driver, driver_inc):
+                    if takeover and alive(partner, partner_inc):
+                        # The driver died mid-exchange: the survivor
+                        # takes over the retry loop from its own side.
+                        retry(t, partner, driver, partner_inc, driver_inc)
+                    return
+                if attempt >= policy.max_retries:
+                    stats.give_ups += 1
+                    on_give_up(t, driver)
+                    return
+                stats.retries += 1
+                delay = policy.backoff_delay(driver, attempt, index)
+                engine.schedule(
+                    t + delay,
+                    lambda t2: retry(
+                        t2, driver, partner, driver_inc, partner_inc
+                    ),
+                )
 
-        def fail(t: float) -> None:
-            if not driver_ok():
-                if takeover and partner_ok():
-                    # The driver died mid-exchange: the survivor takes
-                    # over the retry loop from its own side.
-                    self._drive_exchange(
-                        partner, driver, num_bytes, index, on_success,
-                        on_give_up, attempt + 1, t, takeover=takeover,
-                        bidirectional=bidirectional, loss_key=loss_key,
-                        driver_inc=partner_inc, partner_inc=driver_inc,
-                    )
+            stats.attempted_exchanges += 1
+            if not (
+                alive(partner, partner_inc)
+                and engine.exchange_viable(driver, partner)
+            ):
+                # Waiting on a dead, restarted or unreachable peer: the
+                # attempt expires at its deadline, then backs off.
+                stats.timeout_exchanges += 1
+                engine.schedule(now + policy.timeout, fail)
                 return
-            if attempt >= policy.max_retries:
-                stats.give_ups += 1
-                on_give_up(t, driver)
-                return
-            stats.retries += 1
-            delay = policy.backoff_delay(driver, attempt, index)
-            engine.schedule(t + delay, retry)
-
-        stats.attempted_exchanges += 1
-        if not (partner_ok() and engine.exchange_viable(driver, partner)):
-            # Waiting on a dead, restarted or unreachable peer: the
-            # attempt expires at its deadline, then backs off.
-            stats.timeout_exchanges += 1
-            engine.schedule(now + policy.timeout, fail)
-            return
         loss = engine.loss_model
-        if loss is not None:
-            key = loss_key if loss_key is not None else (driver, partner)
-            if loss.exchange_fails(index, *key):
-                # Lost in transit: the transfer time is paid, the payload
-                # never arrives, and the deadline machinery retries.
-                stats.lost_exchanges += 1
-                duration = engine.transfer_seconds(driver, partner, num_bytes)
-                if bidirectional:
-                    duration = max(
-                        duration,
-                        engine.transfer_seconds(partner, driver, num_bytes),
-                    )
-                engine.schedule(now + duration, fail)
+        if loss is not None and loss.exchange_fails(
+            index, *(loss_key or (driver, partner))
+        ):
+            if fail is None:  # no plan: nothing to retry against
+                on_give_up(now, driver)
                 return
+            # Lost in transit: the transfer time is paid, the payload
+            # never arrives, and the deadline machinery retries.
+            stats.lost_exchanges += 1
+            duration = engine.transfer_seconds(driver, partner, num_bytes)
+            if bidirectional:
+                duration = max(
+                    duration,
+                    engine.transfer_seconds(partner, driver, num_bytes),
+                )
+            engine.schedule(now + duration, fail)
+            return
         if bidirectional:
             engine.start_tracked_exchange(
                 now, driver, partner, num_bytes, index, on_success, fail
@@ -340,8 +349,9 @@ class AsyncGossip(AsyncAlgorithm):
     math of the synchronous SAPS exchange) over their link.  ``peer_choice``
     selects among multiple waiting peers: ``"bandwidth"`` picks the
     fastest link to the arriving worker (the adaptive flavour),
-    ``"random"`` draws uniformly.  A lost exchange (engine loss model)
-    leaves both peers unmixed — they just start their next cycle.
+    ``"random"`` draws uniformly.  An abandoned exchange (lost without a
+    fault plan, or out of retries under one) leaves both peers unmixed —
+    they just start their next cycle.
     """
 
     name = "Async-SAPS"
@@ -412,59 +422,30 @@ class AsyncGossip(AsyncAlgorithm):
         index = self.exchange_count
         self.exchange_count += 1
         engine = self.engine
-        if engine.faults_active:
-            self._faulty_exchange(rank, partner, index, now)
-            return
-        if engine.loss_model is not None and engine.loss_model.exchange_fails(
-            index, rank, partner
-        ):
-            # Lost exchange: both keep their local models and recompute.
-            self.dropped_exchanges += 1
-            self._begin_cycle(rank, now)
-            self._begin_cycle(partner, now)
-            return
         seed = derive_seed(self.base_seed, "mask", index)
         mask = generate_mask(self.model_size, self.compression_ratio, seed)
         indices = np.flatnonzero(mask)
-        payload_bytes = int(indices.size) * BYTES_PER_VALUE
-        _, end_a = engine.start_transfer(now, rank, partner, payload_bytes, index)
-        _, end_b = engine.start_transfer(now, partner, rank, payload_bytes, index)
-        done = max(end_a, end_b, now)
-        engine.schedule(
-            done,
-            lambda t, a=rank, b=partner, idx=indices: self._merge(a, b, idx, t),
-        )
-
-    def _faulty_exchange(
-        self, rank: int, partner: int, index: int, now: float
-    ) -> None:
-        """The matched pair's exchange under an active fault plan: same
-        masked-average math, but crash-abortable with deadline/backoff
-        retries (loss drops are retried instead of silently skipped)."""
-        engine = self.engine
-        seed = derive_seed(self.base_seed, "mask", index)
-        mask = generate_mask(self.model_size, self.compression_ratio, seed)
-        indices = np.flatnonzero(mask)
-        payload_bytes = int(indices.size) * BYTES_PER_VALUE
         incarnations = {
             rank: engine.node_incarnation(rank),
             partner: engine.node_incarnation(partner),
         }
 
-        def on_success(t: float, a=rank, b=partner, idx=indices) -> None:
-            self._merge(a, b, idx, t)
+        def on_success(t: float) -> None:
+            self._merge(rank, partner, indices, t)
 
         def on_give_up(t: float, survivor: int) -> None:
-            # Abandoned exchange: every party still alive in its matched
-            # incarnation re-enters the cycle loop (the re-match path);
-            # dead ones restart through recovery.
+            # Abandoned exchange: both keep their local models.  Every
+            # party still alive in its matched incarnation re-enters the
+            # cycle loop (the re-match path); dead ones restart through
+            # recovery.
             self.dropped_exchanges += 1
             for node, inc in incarnations.items():
                 if engine.node_up(node) and engine.node_incarnation(node) == inc:
                     self._begin_cycle(node, t)
 
         self._drive_exchange(
-            rank, partner, payload_bytes, index, on_success, on_give_up
+            now, rank, partner, int(indices.size) * BYTES_PER_VALUE, index,
+            on_success, on_give_up,
         )
 
     def _merge(self, a: int, b: int, indices: np.ndarray, now: float) -> None:
@@ -521,68 +502,27 @@ class AsyncDPSGD(AsyncAlgorithm):
         self._loss_sum += loss
         self._loss_events += 1
         base_mixes = int(self._mix_counts[rank])
-        engine = self.engine
-
-        if engine.faults_active:
-            self._faulty_average(rank, gradient, base_mixes, now)
-            return
-        # Uniform peer restricted to the up population (the classic
-        # shifted-uniform draw, bit-identical, when no population model
-        # is attached).  No up peer at all: apply the gradient unmixed —
+        # Uniform peer among the live workers, restricted to the up
+        # population.  No such peer: apply the gradient unmixed, since
         # AD-PSGD's averaging needs no peer cooperation.
-        peer = self.participation_ctx.pick_peer(rank, self._rng, now)
+        peer = self.participation_ctx.pick_peer(
+            rank, self._rng, now, alive=self.engine.worker_up
+        )
         if peer is None:
             self._apply(rank, gradient, base_mixes, now)
             return
         index = self.exchange_count
         self.exchange_count += 1
-        if engine.loss_model is not None and engine.loss_model.exchange_fails(
-            index, rank, peer
-        ):
-            # Lost exchange: skip the averaging, apply the gradient now.
-            self._apply(rank, gradient, base_mixes, now)
-            return
-        model_bytes = self.model_size * BYTES_PER_VALUE
-        _, end_a = engine.start_transfer(now, rank, peer, model_bytes, index)
-        _, end_b = engine.start_transfer(now, peer, rank, model_bytes, index)
-        done = max(end_a, end_b, now)
-        engine.schedule(
-            done,
-            lambda t, r=rank, p=peer, g=gradient, b=base_mixes: (
-                self._average_then_apply(r, p, g, b, t)
-            ),
-        )
 
-    def _faulty_average(
-        self, rank: int, gradient: np.ndarray, base_mixes: int, now: float
-    ) -> None:
-        """Peer averaging under an active fault plan: the peer is drawn
-        uniformly among *live* workers, the exchange is crash-abortable
-        with deadline/backoff retries, and a worker that exhausts its
-        retries applies the held gradient unmixed (AD-PSGD's averaging
-        needs no peer cooperation, so nobody else is parked)."""
-        engine = self.engine
-        live = [
-            peer
-            for peer in range(self.num_workers)
-            if peer != rank and engine.worker_up[peer]
-        ]
-        if not live:
-            # Last worker standing: no averaging possible this cycle.
-            self._apply(rank, gradient, base_mixes, now)
-            return
-        peer = live[int(self._rng.integers(len(live)))]
-        index = self.exchange_count
-        self.exchange_count += 1
+        def on_success(t: float) -> None:
+            self._average_then_apply(rank, peer, gradient, base_mixes, t)
 
-        def on_success(t: float, r=rank, p=peer, g=gradient, b=base_mixes):
-            self._average_then_apply(r, p, g, b, t)
-
-        def on_give_up(t: float, survivor: int, r=rank, g=gradient, b=base_mixes):
-            self._apply(r, g, b, t)
+        def on_give_up(t: float, survivor: int) -> None:
+            # Abandoned averaging: apply the held gradient unmixed.
+            self._apply(rank, gradient, base_mixes, t)
 
         self._drive_exchange(
-            rank, peer, self.model_size * BYTES_PER_VALUE, index,
+            now, rank, peer, self.model_size * BYTES_PER_VALUE, index,
             on_success, on_give_up, takeover=False,
         )
 
@@ -632,11 +572,12 @@ class AsyncFedAvg(AsyncAlgorithm):
     downloads/uploads serialize on the shared server link ends — exactly
     the satellite contention model.
 
-    The engine's loss model applies to the upload leg: a failed upload
-    is simply never mixed in (the worker pays the transfer time and
-    starts a fresh cycle).  Loss models are queried with the pair
-    ``(rank, rank)`` so per-link loss matrices stay in range — their
-    diagonal doubles as the worker↔server channel rate.
+    The engine's loss model applies to the upload leg: a lost upload is
+    never mixed in.  Without a fault plan the worker starts a fresh cycle
+    at once; under one the upload is retried like any exchange.  Loss
+    models are queried with the pair ``(rank, rank)`` so per-link loss
+    matrices stay in range — their diagonal doubles as the worker↔server
+    channel rate.
 
     The clients are the TrainingWorkers bound by ``setup`` or, in
     :class:`~repro.algorithms.sampled.SampledAsyncFedAvg`, a lazy client
@@ -790,47 +731,19 @@ class AsyncFedAvg(AsyncAlgorithm):
 
     def _on_local_done(self, rank: int, base_version: int, now: float) -> None:
         self._run_local(rank)
-        engine = self.engine
-        model_bytes = self.model_bytes
         index = self.uploads_sent
         self.uploads_sent += 1
-        if engine.faults_active:
-            # Upload under faults: deadline + backoff retries on loss or
-            # mid-flight crash; exhausting the budget abandons the upload
-            # (the server never sees it) and starts a fresh cycle.
-            def on_success(t: float, r=rank, v=base_version):
-                self._on_upload(r, v, t)
-
-            def on_give_up(t: float, survivor: int, r=rank):
-                self.dropped_uploads += 1
-                self._cycle_finished(r, t)
-
-            self._drive_exchange(
-                rank, TrafficMeter.SERVER, model_bytes, index,
-                on_success, on_give_up, takeover=False,
-                bidirectional=False, loss_key=(rank, rank),
-            )
-            return
-        if engine.loss_model is not None and engine.loss_model.exchange_fails(
-            index, rank, rank
-        ):
-            # The upload is lost in transit: the worker still pays the
-            # transfer time, but the server never sees the model.
-            self.dropped_uploads += 1
-            _, ul_end = engine.start_transfer(
-                now, rank, TrafficMeter.SERVER, model_bytes, index
-            )
-            engine.schedule(
-                max(ul_end, now), lambda t, r=rank: self._cycle_finished(r, t)
-            )
-            return
-        _, ul_end = engine.start_transfer(
-            now, rank, TrafficMeter.SERVER, model_bytes, index
-        )
-        engine.schedule(
-            max(ul_end, now),
+        self._drive_exchange(
+            now, rank, TrafficMeter.SERVER, self.model_bytes, index,
             lambda t, r=rank, v=base_version: self._on_upload(r, v, t),
+            self._upload_abandoned, takeover=False, bidirectional=False,
+            loss_key=(rank, rank),
         )
+
+    def _upload_abandoned(self, now: float, rank: int) -> None:
+        """The server never sees the upload; the worker starts over."""
+        self.dropped_uploads += 1
+        self._cycle_finished(rank, now)
 
     def _on_upload(self, rank: int, base_version: int, now: float) -> None:
         staleness = self.server_version - base_version

@@ -181,7 +181,12 @@ def _parse_fault_plan(args, horizon: float):
     from repro.sim.faults import FaultPlan
 
     spec = getattr(args, "fault_plan", None)
-    plan = FaultPlan.parse(spec, args.workers, horizon=horizon, seed=args.seed)
+    try:
+        plan = FaultPlan.parse(
+            spec, args.workers, horizon=horizon, seed=args.seed
+        )
+    except ValueError as error:
+        raise SystemExit(f"--fault-plan: {error}")
     if plan is not None and plan.is_empty:
         return None
     return plan

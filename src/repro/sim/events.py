@@ -514,14 +514,16 @@ class EventEngine:
     ) -> None:
         """Bidirectional exchange whose completion a crash can abort.
 
-        Without an active fault plan this degenerates to exactly the
-        classic pattern — two :meth:`start_transfer` calls plus one
-        scheduled completion event — so fault-free runs are untouched.
-        With faults active the completion event is registered in the
-        in-flight table: a crash of either end cancels it, rolls the
-        link reservations back and fires ``on_abort`` at crash time.
-        If the exchange would outlive the policy deadline it is not
-        started at all; ``on_abort`` fires at the deadline instead.
+        Every asynchronous exchange starts here (through
+        :meth:`~repro.algorithms.asynchronous.AsyncAlgorithm._drive_exchange`).
+        Without an active fault plan it is two :meth:`start_transfer`
+        calls plus one scheduled ``on_success``; nothing else is built
+        or counted, and ``on_abort`` is never called.  With faults active
+        the completion event is registered in the in-flight table: a
+        crash of either end cancels it, rolls the link reservations back
+        and fires ``on_abort`` at crash time.  If the exchange would
+        outlive the policy deadline it is not started at all;
+        ``on_abort`` fires at the deadline instead.
         """
         if not self.faults_active:
             _, end_a = self.start_transfer(now, a, b, num_bytes, index)
@@ -556,9 +558,13 @@ class EventEngine:
     ) -> None:
         """One directed crash-abortable transfer (the server-path leg).
 
-        ``counted=False`` keeps the transfer out of the goodput
-        accounting (download legs and recovery fetches are plumbing, not
-        exchange attempts)."""
+        Without an active fault plan it is one :meth:`start_transfer`
+        plus one scheduled ``on_success``, as for
+        :meth:`start_tracked_exchange`; with one, the same in-flight
+        tracking and deadline apply.  ``counted=False`` keeps the
+        transfer out of the goodput accounting and the deadline
+        (download legs and recovery fetches are plumbing, not exchange
+        attempts)."""
         if not self.faults_active:
             _, end = self.start_transfer(now, sender, receiver, num_bytes, index)
             self.schedule(max(end, now), on_success)

@@ -122,7 +122,7 @@ class FaultPlan:
         workers alive are dropped together with their recovery, so the
         cluster always keeps a quorum to recover from.
         """
-        if mttf <= 0 or mttr <= 0:
+        if not (mttf > 0 and mttr > 0):  # NaN fails too
             raise ValueError(f"mttf and mttr must be positive, got {mttf}, {mttr}")
         if horizon <= 0:
             raise ValueError(f"horizon must be positive, got {horizon}")
@@ -188,7 +188,15 @@ class FaultPlan:
                         f"unknown fault-plan parameter {key!r} in {spec!r}; "
                         "expected mttf=, mttr=, seed=, min-up="
                     )
-                params[key] = float(value)
+                number = float if key in ("mttf", "mttr") else int
+                try:
+                    params[key] = number(value)
+                except ValueError:
+                    raise ValueError(
+                        f"fault-plan parameter {token.strip()!r} needs "
+                        f"{'a number' if number is float else 'an integer'}: "
+                        f"{spec!r}"
+                    ) from None
             if "mttf" not in params or "mttr" not in params:
                 raise ValueError(f"rate-based fault plan needs mttf= and mttr=: {spec!r}")
             return cls.from_rates(
@@ -216,7 +224,7 @@ class FaultPlan:
                     raise
                 raise ValueError(
                     f"cannot parse fault event {token!r} (expected "
-                    "'kind:worker@time' or 'kind:a-b@time'): {spec!r}"
+                    f"'kind:worker@time' or 'kind:a-b@time'): {spec!r}"
                 ) from error
         return cls(num_workers, events)
 

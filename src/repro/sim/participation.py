@@ -289,27 +289,38 @@ class ParticipationContext:
         return up, down
 
     def pick_peer(
-        self, rank: int, rng: np.random.Generator, now: float
+        self,
+        rank: int,
+        rng: np.random.Generator,
+        now: float,
+        alive: Optional[np.ndarray] = None,
     ) -> Optional[int]:
-        """A uniform peer != ``rank``, restricted to the up population.
+        """A uniform peer != ``rank``, restricted to the live, up population.
 
-        Without a population this is AD-PSGD's classic shifted-uniform
-        draw (one RNG consumption, bit-identical).  With one, down peers
-        are rejected for up to 64 attempts; ``None`` means no up peer
-        was found and the caller should skip the averaging this cycle.
+        ``alive`` is a per-client liveness mask (the event engine's crash
+        state); ``None`` means everyone is alive.  With every client
+        alive a draw is AD-PSGD's classic shifted-uniform draw, otherwise
+        a uniform index into the list of live peers; each consumes one
+        RNG draw.  Without a population the first draw is the peer.  With
+        one, down peers are rejected for up to 64 draws.  ``None`` means
+        no peer was found and the caller should skip the averaging this
+        cycle.
         """
-        if self.num_clients < 2:
+        live = None
+        count = self.num_clients - 1
+        if alive is not None and not alive.all():
+            live = np.flatnonzero(alive)
+            live = live[live != rank]
+            count = live.size
+        if count < 1:
             return None
-        if self.population is None:
-            peer = int(rng.integers(self.num_clients - 1))
-            if peer >= rank:
+        for _ in range(1 if self.population is None else 64):
+            peer = int(rng.integers(count))
+            if live is not None:
+                peer = int(live[peer])
+            elif peer >= rank:
                 peer += 1
-            return peer
-        for _ in range(64):
-            peer = int(rng.integers(self.num_clients - 1))
-            if peer >= rank:
-                peer += 1
-            if self.population.is_up(peer, now):
+            if self.population is None or self.population.is_up(peer, now):
                 return peer
         return None
 

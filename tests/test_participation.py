@@ -291,6 +291,39 @@ class TestAsyncGossipRematch:
         assert up == [3, 1, 2] and down == []
 
 
+class TestPickPeer:
+    def test_all_alive_draw_equals_the_live_list_draw(self):
+        # Why a run with faults active but nobody down keeps the
+        # fault-free stream: the shifted-uniform draw picks the same
+        # peer as an index into the list of the other workers.
+        ctx = ParticipationContext(6)
+        everyone = np.ones(6, dtype=bool)
+        first, second = np.random.default_rng(4), np.random.default_rng(4)
+        for step in range(60):
+            rank = step % 6
+            others = [peer for peer in range(6) if peer != rank]
+            assert ctx.pick_peer(rank, first, 0.0, alive=everyone) == (
+                others[int(second.integers(len(others)))]
+            )
+
+    def test_draws_only_live_up_peers(self):
+        population = RenewalPopulation(8, mean_up=1.0, mean_down=1.0, seed=2)
+        ctx = ParticipationContext(8, population=population)
+        alive = np.array([True, False, True, True, False, True, True, True])
+        rng = np.random.default_rng(0)
+        for step in range(200):
+            now = 0.05 * step
+            peer = ctx.pick_peer(0, rng, now, alive=alive)
+            if peer is not None:
+                assert peer != 0 and alive[peer]
+                assert population.is_up(peer, now)
+
+    def test_no_live_peer(self):
+        alive = np.array([True, False, False])
+        rng = np.random.default_rng(0)
+        assert ParticipationContext(3).pick_peer(0, rng, 0.0, alive) is None
+
+
 class TestPinTelemetry:
     def test_pin_contention_and_peak_pins(self):
         arena = ShardedArena(10, 4, capacity=2)

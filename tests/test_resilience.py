@@ -16,6 +16,8 @@ from repro.analysis import (
 )
 from repro.data import make_blobs, partition_iid
 from repro.network import SimulatedNetwork, random_uniform_bandwidth
+from repro.network.faults import PacketLossModel
+from repro.network.metrics import TrafficMeter
 from repro.nn import MLP
 from repro.resilience import (
     CheckpointStore,
@@ -25,6 +27,7 @@ from repro.resilience import (
 )
 from repro.sim import ConstantCompute, ExperimentConfig, run_event_experiment
 from repro.sim.faults import FaultEvent, FaultPlan
+from repro.sim.population import RenewalPopulation
 
 
 @pytest.fixture
@@ -138,7 +141,7 @@ SCENARIO = FaultPlan(
 
 
 def run_faulty(workload, algorithm_factory, recovery="checkpoint",
-               plan=SCENARIO, duration=4.0, timeout=1.0):
+               plan=SCENARIO, duration=4.0, timeout=1.0, loss_model=None):
     partitions, validation, factory = workload
     config = ExperimentConfig(rounds=10, eval_every=5, lr=0.2, seed=11)
     network = SimulatedNetwork(
@@ -148,7 +151,7 @@ def run_faulty(workload, algorithm_factory, recovery="checkpoint",
     result = run_event_experiment(
         algorithm, partitions, validation, factory, config, network,
         compute_model=ConstantCompute(0.05), duration=duration,
-        fault_plan=plan,
+        loss_model=loss_model, fault_plan=plan,
         exchange_policy=ExchangePolicy(timeout=timeout, seed=11),
         recovery=make_recovery_policy(recovery, checkpoint_interval=0.5),
     )
@@ -252,6 +255,97 @@ class TestFaultyRunsEndToEnd:
         for a, b in zip(bare.history, empty.history):
             assert a.val_accuracy == b.val_accuracy
             assert a.worker_traffic_mb == b.worker_traffic_mb
+
+
+class TestOneLossRule:
+    """A dropped exchange attempt is abandoned at once without a fault
+    plan and retried under one."""
+
+    def test_loss_under_a_plan_is_retried(self, workload):
+        _, result = run_faulty(
+            workload, ASYNC_FACTORIES["gossip"],
+            loss_model=PacketLossModel(0.5, num_workers=6, rng=0),
+        )
+        stats = result.resilience
+        assert stats.lost_exchanges > 0
+        assert stats.retries > 0
+        assert stats.completed_exchanges > 0
+
+    @pytest.mark.parametrize("variant", list(ASYNC_FACTORIES))
+    def test_fault_free_drop_meters_nothing_and_restarts_at_once(
+        self, workload, variant
+    ):
+        partitions, validation, factory = workload
+        config = ExperimentConfig(rounds=10, eval_every=5, lr=0.2, seed=11)
+        bandwidth = random_uniform_bandwidth(6, rng=11)
+        network = SimulatedNetwork(
+            6, bandwidth=bandwidth, server_bandwidth=float(bandwidth.max())
+        )
+        result = run_event_experiment(
+            ASYNC_FACTORIES[variant](), partitions, validation, factory,
+            config, network, compute_model=ConstantCompute(0.05),
+            loss_model=PacketLossModel(1.0, num_workers=6, rng=0),
+            duration=1.0, contention=False,
+        )
+        # Every attempt is dropped before a byte leaves a worker (only
+        # FedAvg's server downloads are metered)...
+        assert result.total_local_steps > 0
+        assert all(
+            record.sender == TrafficMeter.SERVER
+            for record in network.meter.records
+        )
+        # ...and each worker's next cycle starts at the drop time: its
+        # busy intervals follow one another without a gap.
+        for worker in range(6):
+            intervals = sorted(
+                (i for i in result.trace.intervals if i.worker == worker),
+                key=lambda i: i.start,
+            )
+            assert intervals[0].start == 0.0
+            for before, after in zip(intervals, intervals[1:]):
+                assert after.start == before.end
+
+
+class TestNeverFiringPlan:
+    """A plan whose only event falls after the horizon runs every
+    exchange through the fault-aware driver but never fires, so the
+    model trajectory must equal the run without a plan."""
+
+    @pytest.mark.parametrize(
+        "population", [False, True], ids=["always-up", "renewal"]
+    )
+    @pytest.mark.parametrize("variant", list(ASYNC_FACTORIES))
+    def test_trajectory_matches_no_plan(self, workload, variant, population):
+        partitions, validation, factory = workload
+        config = ExperimentConfig(rounds=10, eval_every=5, lr=0.2, seed=11)
+
+        def run(plan):
+            bandwidth = random_uniform_bandwidth(6, rng=11)
+            network = SimulatedNetwork(
+                6, bandwidth=bandwidth,
+                server_bandwidth=float(bandwidth.max()),
+            )
+            return run_event_experiment(
+                ASYNC_FACTORIES[variant](), partitions, validation, factory,
+                config, network, compute_model=ConstantCompute(0.05),
+                duration=3.0, fault_plan=plan,
+                population=(
+                    RenewalPopulation(6, mean_up=0.6, mean_down=0.3, seed=3)
+                    if population else None
+                ),
+            )
+
+        bare = run(None)
+        late = run(FaultPlan(6, [FaultEvent(3.5, "crash", worker=2)]))
+        assert late.resilience is not None  # the plan was active
+        assert late.resilience.crashes == []
+        assert len(bare.history) == len(late.history)
+        for a, b in zip(bare.history, late.history):
+            assert a.val_loss == b.val_loss
+            assert a.consensus_distance == b.consensus_distance
+            assert a.worker_traffic_mb == b.worker_traffic_mb
+            assert a.server_traffic_mb == b.server_traffic_mb
+            assert a.local_steps == b.local_steps
 
 
 class TestResilienceReports:

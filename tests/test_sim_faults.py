@@ -3,7 +3,17 @@
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.sim.faults import FaultChurn, FaultEvent, FaultLinkLoss, FaultPlan
+
+#: (spec, what the error must say) for malformed ``--fault-plan`` specs.
+BAD_SPECS = [
+    ("crash:xyz@10", "cannot parse fault event 'crash:xyz@10' .*: 'crash:xyz@10'"),
+    ("mttf=abc,mttr=5", "'mttf=abc' needs a number"),
+    ("mttf=20,mttr=5,seed=1.5", "'seed=1.5' needs an integer"),
+    ("mttf=20,mttr=5,min-up=2.7", "'min-up=2.7' needs an integer"),
+    ("mttf=nan,mttr=5", "mttf and mttr must be positive"),
+]
 
 
 class TestFaultEvent:
@@ -188,6 +198,22 @@ class TestParse:
             FaultPlan.parse("mttf=3,volts=9", 4)
         with pytest.raises(ValueError, match="needs mttf= and mttr="):
             FaultPlan.parse("mttf=3", 4)
+
+
+    @pytest.mark.parametrize("spec, message", BAD_SPECS)
+    def test_bad_spec_is_rejected(self, spec, message):
+        with pytest.raises(ValueError, match=message):
+            FaultPlan.parse(spec, 4)
+
+    @pytest.mark.parametrize("engine", ["sync", "event"])
+    @pytest.mark.parametrize("spec, message", BAD_SPECS)
+    def test_cli_exits_with_the_error(self, engine, spec, message):
+        with pytest.raises(SystemExit, match=f"^--fault-plan: .*{message}"):
+            main([
+                "run", "--algorithm", "saps-psgd", "--workers", "4",
+                "--rounds", "2", "--engine", engine, "--sim-time", "1",
+                "--fault-plan", spec,
+            ])
 
 
 class TestRoundProjections:
